@@ -10,8 +10,8 @@
 //                              per request (the pre-v3 floor)
 //   loopback_get_pipelined  -- MultiplexedClient: a 32-deep window of
 //                              in-flight GETs on one connection; the
-//                              writer batches frames, the reader
-//                              demultiplexes by request id
+//                              writer batches frames, the awaiting
+//                              thread demultiplexes by request id
 //   loopback_get_mux8t      -- 8 threads sharing ONE MultiplexedClient
 //                              connection, each doing blocking Gets
 //
@@ -202,7 +202,8 @@ BenchResult RunPipelinedGet(const std::string& scenario, uint16_t port,
 
 /// `threads` application threads sharing ONE multiplexed connection,
 /// each issuing blocking Gets (start+await); their frames coalesce on
-/// the shared writer and demultiplex by id on the shared reader.
+/// the shared writer, and whichever thread holds the read role
+/// demultiplexes the responses by id.
 BenchResult RunMuxThreads(uint16_t port, int threads,
                           uint64_t iters_per_thread) {
   auto client = MultiplexedClient::Connect({.port = port});

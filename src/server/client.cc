@@ -499,7 +499,12 @@ Status WatchmanClient::Compact() {
 // --------------------------------------------------- MultiplexedClient
 
 MultiplexedClient::MultiplexedClient(Options options)
-    : options_(std::move(options)), shed_jitter_seed_(FreshJitterSeed()) {}
+    : options_(std::move(options)), shed_jitter_seed_(FreshJitterSeed()) {
+  MutexLock lock(pending_mu_);
+  // Room for a handful of concurrent waiters up front, so a steady
+  // thread count never grows the list on the request path.
+  followers_.reserve(8);
+}
 
 StatusOr<std::unique_ptr<MultiplexedClient>> MultiplexedClient::Connect(
     const Options& options) {
@@ -508,14 +513,10 @@ StatusOr<std::unique_ptr<MultiplexedClient>> MultiplexedClient::Connect(
   // alloc-ok: one client object per Connect() (setup, not per request)
   std::unique_ptr<MultiplexedClient> client(new MultiplexedClient(options));
   client->fd_ = *fd;
-  client->reader_ = std::thread([raw = client.get()] { raw->ReaderLoop(); });
   return client;
 }
 
 MultiplexedClient::~MultiplexedClient() {
-  stopping_.store(true, std::memory_order_release);
-  ::shutdown(fd_, SHUT_RDWR);  // unblocks the reader's poll
-  if (reader_.joinable()) reader_.join();
   Break(Status::IOError("client destroyed"));
   ::close(fd_);
 }
@@ -527,6 +528,9 @@ void MultiplexedClient::Break(const Status& status) {
     if (broken_.ok()) broken_ = status;
     orphans.swap(pending_);
   }
+  // The connection is dead for good: shutting it down wakes a leader
+  // blocked in poll, which then finds its call failed below.
+  ::shutdown(fd_, SHUT_RDWR);
   for (auto& [id, call] : orphans) {
     MutexLock lock(call->mu);
     if (call->done) continue;
@@ -568,15 +572,17 @@ Status MultiplexedClient::Flush() {
     MutexLock lock(pending_mu_);
     if (!broken_.ok()) return broken_;
   }
-  std::string batch;
   {
+    // The two buffers trade places, so both keep their capacity and a
+    // steady request stream encodes without allocating.
     MutexLock lock(send_mu_);
-    batch.swap(outbuf_);
+    flush_batch_.swap(outbuf_);
   }
-  if (batch.empty()) return Status::OK();
+  if (flush_batch_.empty()) return Status::OK();
   const auto deadline = DeadlineIn(options_.io_timeout_ms);
   size_t sent = 0;
-  const Status status = SendAllFd(fd_, batch, deadline, &sent);
+  const Status status = SendAllFd(fd_, flush_batch_, deadline, &sent);
+  flush_batch_.clear();
   if (!status.ok()) {
     Break(status);
     return status;
@@ -597,106 +603,100 @@ StatusOr<WireResponse> MultiplexedClient::Await(Ticket ticket) {
     }
     call = it->second;
   }
-  const auto deadline = DeadlineIn(options_.io_timeout_ms);
-  bool completed;
-  {
-    // Explicit deadline loop instead of wait_until-with-predicate: the
-    // predicate lambda would be analyzed as a separate function not
-    // holding call->mu, punching a hole in the thread-safety proof.
-    MutexLock lock(call->mu);
-    while (!call->done) {
-      if (call->cv.WaitUntil(call->mu, deadline) == std::cv_status::timeout) {
-        break;
-      }
-    }
-    completed = call->done;
-  }
+  WaitFor(call.get(), DeadlineIn(options_.io_timeout_ms));
   {
     MutexLock lock(pending_mu_);
     pending_.erase(ticket);
   }
-  if (!completed) {
-    // Re-check: the response may have landed between the timed wait and
-    // the erase above.
-    MutexLock lock(call->mu);
-    if (!call->done) {
-      return Status::IOError("deadline exceeded awaiting response " +
-                             std::to_string(ticket));
-    }
-  }
+  // Checked after the erase: a response that landed between the timed
+  // wait and the erase still counts.
   MutexLock lock(call->mu);
+  if (!call->done) {
+    return Status::IOError("deadline exceeded awaiting response " +
+                           std::to_string(ticket));
+  }
   if (!call->error.ok()) return call->error;
   return std::move(call->response);
 }
 
-void MultiplexedClient::ReaderLoop() {
-  std::string inbuf;
-  char chunk[64 * 1024];
-  while (!stopping_.load(std::memory_order_acquire)) {
-    // Drain every complete frame before reading more; the consumed
-    // prefix is erased once per batch (a per-frame erase would memmove
-    // the whole buffer once per response on pipelined bursts).
-    size_t consumed = 0;
-    bool desynchronized = false;
-    Status break_status;
-    while (true) {
-      std::string_view body;
-      size_t frame_size = 0;
-      StatusOr<bool> extracted =
-          ExtractFrame(std::string_view(inbuf).substr(consumed),
-                       options_.max_frame_bytes, &body, &frame_size);
-      if (!extracted.ok()) {
-        desynchronized = true;
-        break_status = extracted.status();
-        break;
-      }
-      if (!*extracted) break;
-      StatusOr<WireResponse> response = DecodeResponse(body);
-      consumed += frame_size;
-      if (!response.ok()) {
-        // Undecodable frame: the stream is desynchronized beyond
-        // repair.
-        desynchronized = true;
-        break_status = response.status();
-        break;
-      }
-      std::shared_ptr<PendingCall> call;
+// Leader/followers. The thread holding the read role reads the socket
+// and routes every response to its waiter; the other waiters sleep on
+// their own call's condition variable. A leader whose call completes
+// (or whose deadline passes) gives the role up and promotes one
+// follower, so an idle connection has no reader at all and a blocking
+// round trip wakes nobody but its caller.
+void MultiplexedClient::WaitFor(PendingCall* call,
+                                Clock::time_point deadline) {
+  bool listed = false;
+  while (true) {
+    if (read_mu_.TryLock()) {
+      if (listed) RemoveFollower(call);
+      Lead(call, deadline);
+      read_mu_.Unlock();
+      PromoteFollower();
+      return;
+    }
+    if (!listed) {
       {
-        MutexLock lock(pending_mu_);
-        auto it = pending_.find(response->request_id);
-        if (it != pending_.end()) call = it->second;
-      }
-      if (call != nullptr) {
         MutexLock lock(call->mu);
-        call->response = std::move(*response);
-        call->done = true;
-        call->cv.NotifyAll();
-      } else if (response->code != StatusCode::kOk &&
-                 response->request_id == 0) {
-        // A framing-level error the daemon could not attribute to one
-        // request (id 0): the connection is going away, fail everyone
-        // with the daemon's own message.
-        desynchronized = true;
-        break_status = StatusFromWire(response->code, response->message);
-        break;
+        if (call->done) return;
       }
-      // A stray OK response (e.g. the waiter timed out and left) is
-      // dropped on the floor.
+      // List this call, then try for the role once more: a leader that
+      // gave the role up after the TryLock above failed promotes from
+      // followers_, which may not have held this call yet.
+      MutexLock lock(pending_mu_);
+      followers_.push_back(call);
+      listed = true;
+      continue;
     }
-    if (desynchronized) {
-      Break(break_status);
+    {
+      MutexLock lock(call->mu);
+      while (!call->done && !call->promoted) {
+        if (call->cv.WaitUntil(call->mu, deadline) ==
+            std::cv_status::timeout) {
+          break;
+        }
+      }
+    }
+    // Off the list first: after that no leader can promote this call,
+    // so the flags read next are final.
+    RemoveFollower(call);
+    listed = false;
+    bool promoted;
+    bool done;
+    {
+      MutexLock lock(call->mu);
+      promoted = call->promoted;
+      call->promoted = false;
+      done = call->done;
+    }
+    if (done || Clock::now() >= deadline) {
+      // The role was handed to a waiter that no longer needs it.
+      if (promoted) PromoteFollower();
       return;
     }
-    if (consumed > 0) inbuf.erase(0, consumed);
-    // Need more bytes. Short poll intervals keep shutdown prompt.
-    pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 50);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      Break(Status::IOError(std::string("poll: ") + ErrnoString(errno)));
+  }
+}
+
+void MultiplexedClient::Lead(PendingCall* call, Clock::time_point deadline) {
+  char chunk[64 * 1024];
+  while (true) {
+    const Status routed = RouteFrames();
+    if (!routed.ok()) {
+      Break(routed);
       return;
     }
-    if (ready == 0) continue;
+    {
+      MutexLock lock(call->mu);
+      if (call->done) return;
+    }
+    const Status ready = PollFd(fd_, POLLIN, deadline, "recv");
+    if (!ready.ok()) {
+      // A deadline fails this call only: the connection stays usable
+      // and the next leader resumes from the bytes already buffered.
+      if (Clock::now() < deadline) Break(ready);
+      return;
+    }
     const ssize_t n = FaultRecv(fd_, chunk, sizeof(chunk), 0);
     if (n == 0) {
       Break(Status::IOError("connection closed by the daemon"));
@@ -707,7 +707,82 @@ void MultiplexedClient::ReaderLoop() {
       Break(Status::IOError(std::string("recv: ") + ErrnoString(errno)));
       return;
     }
-    inbuf.append(chunk, static_cast<size_t>(n));
+    inbuf_.append(chunk, static_cast<size_t>(n));
+  }
+}
+
+Status MultiplexedClient::RouteFrames() {
+  // Drain every complete frame; the consumed prefix is erased once per
+  // batch (a per-frame erase would memmove the whole buffer once per
+  // response on pipelined bursts).
+  size_t consumed = 0;
+  Status status;
+  while (true) {
+    std::string_view body;
+    size_t frame_size = 0;
+    StatusOr<bool> extracted =
+        ExtractFrame(std::string_view(inbuf_).substr(consumed),
+                     options_.max_frame_bytes, &body, &frame_size);
+    if (!extracted.ok()) {
+      status = extracted.status();
+      break;
+    }
+    if (!*extracted) break;
+    StatusOr<WireResponse> response = DecodeResponse(body);
+    consumed += frame_size;
+    if (!response.ok()) {
+      // Undecodable frame: the stream is desynchronized beyond repair.
+      status = response.status();
+      break;
+    }
+    std::shared_ptr<PendingCall> call;
+    {
+      MutexLock lock(pending_mu_);
+      auto it = pending_.find(response->request_id);
+      if (it != pending_.end()) call = it->second;
+    }
+    if (call != nullptr) {
+      MutexLock lock(call->mu);
+      call->response = std::move(*response);
+      call->done = true;
+      call->cv.NotifyOne();
+    } else if (response->code != StatusCode::kOk &&
+               response->request_id == 0) {
+      // A framing-level error the daemon could not attribute to one
+      // request (id 0): the connection is going away, fail everyone
+      // with the daemon's own message.
+      status = StatusFromWire(response->code, response->message);
+      break;
+    }
+    // A stray OK response (e.g. the waiter timed out and left) is
+    // dropped on the floor.
+  }
+  if (consumed > 0) inbuf_.erase(0, consumed);
+  return status;
+}
+
+void MultiplexedClient::RemoveFollower(PendingCall* call) {
+  MutexLock lock(pending_mu_);
+  for (size_t i = 0; i < followers_.size(); ++i) {
+    if (followers_[i] == call) {
+      followers_[i] = followers_.back();
+      followers_.pop_back();
+      return;
+    }
+  }
+}
+
+void MultiplexedClient::PromoteFollower() {
+  MutexLock lock(pending_mu_);
+  while (!followers_.empty()) {
+    PendingCall* next = followers_.back();
+    followers_.pop_back();
+    MutexLock call_lock(next->mu);
+    // A follower whose response already arrived is awake anyway.
+    if (next->done) continue;
+    next->promoted = true;
+    next->cv.NotifyOne();
+    return;
   }
 }
 

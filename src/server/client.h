@@ -18,11 +18,15 @@
 // MultiplexedClient shares ONE connection between many application
 // threads using the wire protocol's v3 request ids: a buffered writer
 // pipelines encoded frames (flushed on Await()/Flush(), no per-request
-// round trip), and a dedicated reader thread demultiplexes responses to
-// per-request waiters by id, so responses may complete out of order and
-// the pipe stays full. StartX()/Await() expose the pipelining directly;
-// the blocking Ping()/Get()/... wrappers are Start+Await and are safe
-// to call from any number of threads concurrently.
+// round trip), and the threads blocked in Await() take turns reading
+// the socket (leader/followers): one of them reads and routes every
+// response to its waiter by id, and hands the reading role to one
+// other waiter once its own response lands. Responses may complete out
+// of order and the pipe stays full, yet the client owns no thread, so
+// a blocking round trip wakes only its caller. StartX()/Await() expose
+// the pipelining directly; the blocking Ping()/Get()/... wrappers are
+// Start+Await and are safe to call from any number of threads
+// concurrently.
 //
 // RemoteWatchman layers the Watchman query API on top of a
 // WatchmanClient: Execute() first probes the daemon (GET), on a miss
@@ -41,7 +45,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -175,11 +178,12 @@ class WatchmanClient {
 
 /// One connection shared by many application threads: requests are
 /// stamped with unique ids, buffered and pipelined by a writer path
-/// that never waits for responses, and a dedicated reader thread routes
-/// each response to its waiter by id. Any transport failure (send
-/// error, recv error, undecodable response, deadline on the socket)
-/// is sticky: every pending and future call fails with the same status
-/// and the caller reconnects by constructing a new client.
+/// that never waits for responses, and whichever awaiting thread holds
+/// the read role routes each response to its waiter by id. Any
+/// transport failure (send error, recv error, undecodable response,
+/// deadline on a send) is sticky: every pending and future call fails
+/// with the same status and the caller reconnects by constructing a
+/// new client. A deadline on Await fails that call only.
 class MultiplexedClient {
  public:
   using Options = WatchmanClient::Options;
@@ -187,8 +191,8 @@ class MultiplexedClient {
   /// Handle for an in-flight pipelined request.
   using Ticket = uint64_t;
 
-  /// Dials the daemon (with retry/backoff per `options`) and spawns the
-  /// reader thread.
+  /// Dials the daemon (with retry/backoff per `options`). Starts no
+  /// thread.
   static StatusOr<std::unique_ptr<MultiplexedClient>> Connect(
       const Options& options);
 
@@ -218,6 +222,7 @@ class MultiplexedClient {
   Status Flush();
 
   /// Waits for `ticket`'s response. Each ticket may be awaited once.
+  /// The waiting thread may read the socket for other waiters meanwhile.
   StatusOr<WireResponse> Await(Ticket ticket);
 
   // Blocking wrappers (Start + Await), concurrency-safe: N threads
@@ -240,6 +245,8 @@ class MultiplexedClient {
     Mutex mu;
     CondVar cv;
     bool done GUARDED_BY(mu) = false;
+    /// The read role was handed to this call's waiter (WaitFor).
+    bool promoted GUARDED_BY(mu) = false;
     // Transport-level failure (response invalid).
     Status error GUARDED_BY(mu);
     // Valid when done && error.ok().
@@ -252,19 +259,31 @@ class MultiplexedClient {
   /// Start + Await with shed-retry backoff (the blocking wrappers).
   StatusOr<WireResponse> CallBlocking(
       const std::function<StatusOr<Ticket>()>& start);
-  void ReaderLoop();
+  /// Returns once `call` is done or `deadline` passes, reading the
+  /// socket itself whenever it can take the read role.
+  void WaitFor(PendingCall* call,
+               std::chrono::steady_clock::time_point deadline)
+      EXCLUDES(read_mu_, pending_mu_);
+  /// The read role's loop: routes buffered responses and receives more
+  /// until `call` is done, `deadline` passes or the transport breaks.
+  void Lead(PendingCall* call,
+            std::chrono::steady_clock::time_point deadline)
+      REQUIRES(read_mu_);
+  /// Routes every complete frame in inbuf_ to its waiter; a non-OK
+  /// status means the stream is unusable.
+  Status RouteFrames() REQUIRES(read_mu_);
+  void RemoveFollower(PendingCall* call) EXCLUDES(pending_mu_);
+  /// Hands the read role to one follower still waiting, if any.
+  void PromoteFollower() EXCLUDES(pending_mu_);
   /// Marks the transport broken and fails every pending call.
   void Break(const Status& status);
 
   Options options_;
   /// Deliberately unguarded: written exactly once (in Connect, before
-  /// the reader thread spawns and before the client pointer escapes),
-  /// then only read -- by flushers, the reader's poll/recv, and the
-  /// destructor's shutdown/close after the reader is joined. The
-  /// thread-spawn and unique_ptr handoffs publish it.
+  /// the client pointer escapes), then only read -- by flushers, the
+  /// leader's poll/recv, Break's shutdown and the destructor's close.
+  /// The unique_ptr handoff publishes it.
   int fd_ = -1;
-  std::thread reader_;
-  std::atomic<bool> stopping_{false};
 
   /// Writer state: encoded frames accumulate in outbuf_ under send_mu_
   /// and are sent in one batch by Flush/Await. The socket write itself
@@ -274,14 +293,29 @@ class MultiplexedClient {
   /// whole. Lock order: flush_mu_ before send_mu_, never both held
   /// across a syscall (ACQUIRED_BEFORE turns a violation into a
   /// compile error under -Werror=thread-safety).
-  Mutex flush_mu_ ACQUIRED_BEFORE(send_mu_);
+  Mutex flush_mu_ ACQUIRED_BEFORE(send_mu_, pending_mu_);
   Mutex send_mu_;
   std::string outbuf_ GUARDED_BY(send_mu_);
+  /// The batch being sent; swaps with outbuf_ so both keep capacity.
+  std::string flush_batch_ GUARDED_BY(flush_mu_);
+
+  /// The read role: held by the one Await()ing thread that reads the
+  /// socket, taken only with TryLock (TRY_ACQUIRE) so a waiter never
+  /// blocks on it -- it sleeps on its own call instead. Lock order:
+  /// read_mu_, then pending_mu_, then a PendingCall's mu; flush_mu_ and
+  /// read_mu_ are never held together.
+  Mutex read_mu_ ACQUIRED_BEFORE(pending_mu_);
+  /// Bytes received but not yet routed; a partial frame waits here for
+  /// the next leader.
+  std::string inbuf_ GUARDED_BY(read_mu_);
 
   /// Waiter registry; broken_ is the sticky transport failure.
   Mutex pending_mu_;
   std::unordered_map<uint64_t, std::shared_ptr<PendingCall>> pending_
       GUARDED_BY(pending_mu_);
+  /// Calls whose waiter sleeps without the read role (promotion
+  /// candidates). Capacity is reserved up front.
+  std::vector<PendingCall*> followers_ GUARDED_BY(pending_mu_);
   Status broken_ GUARDED_BY(pending_mu_);
 
   std::atomic<uint64_t> next_id_{0};

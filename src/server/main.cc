@@ -20,10 +20,11 @@
 // `auto` (the default) serves with io_uring when the kernel provides
 // it and falls back to epoll silently; `io_uring` also falls back but
 // logs a warning; `epoll` never probes. --no-inline disables the
-// IO-thread inline fast path for cheap ops. --compact-idle runs a
-// metadata compaction pass after the daemon has been idle that many
-// seconds (0 = never). --io-timeout closes connections stuck mid-frame
-// / mid-flush with no progress for MS milliseconds (0 = never).
+// IO-thread inline fast path for cheap ops and miss-fill EXECUTEs.
+// --compact-idle runs a metadata compaction pass after the daemon has
+// been idle that many seconds (0 = never). --io-timeout closes
+// connections stuck mid-frame / mid-flush with no progress for MS
+// milliseconds (0 = never).
 //
 // Observability: --admin-port binds an HTTP endpoint (same host)
 // serving GET /metrics (Prometheus text format) and /healthz; 0 picks

@@ -35,6 +35,27 @@ struct FillContext {
 
 thread_local FillContext* t_fill = nullptr;
 
+/// MissFillExecutor()'s callable. A named type, so the server can tell
+/// (std::function::target) that a facade's misses only copy the
+/// client's fill -- cheap enough for the IO thread -- and never call
+/// into a warehouse.
+struct MissFillFn {
+  StatusOr<Watchman::ExecutionResult> operator()(
+      const std::string& query_text) const {
+    FillContext* fill = t_fill;
+    if (fill == nullptr || fill->request == nullptr) {
+      return Status::NotFound("cache miss and no miss-fill attached: " +
+                              query_text);
+    }
+    fill->consumed = true;
+    Watchman::ExecutionResult result;
+    result.payload = fill->request->fill_payload;
+    result.cost = fill->request->fill_cost;
+    result.relations = fill->request->fill_relations;
+    return result;
+  }
+};
+
 bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -98,28 +119,14 @@ bool ParseServerBackend(std::string_view text, ServerBackend* out) {
 WatchmanServer::WatchmanServer(Watchman* cache, Options options)
     : cache_(cache),
       options_(std::move(options)),
+      inline_execute_(cache->executor().target<MissFillFn>() != nullptr),
       admission_(options_.admission) {
   BuildMetricsRegistry();
 }
 
 WatchmanServer::~WatchmanServer() { Stop(); }
 
-Watchman::Executor WatchmanServer::MissFillExecutor() {
-  return [](const std::string& query_text)
-             -> StatusOr<Watchman::ExecutionResult> {
-    FillContext* fill = t_fill;
-    if (fill == nullptr || fill->request == nullptr) {
-      return Status::NotFound("cache miss and no miss-fill attached: " +
-                              query_text);
-    }
-    fill->consumed = true;
-    Watchman::ExecutionResult result;
-    result.payload = fill->request->fill_payload;
-    result.cost = fill->request->fill_cost;
-    result.relations = fill->request->fill_relations;
-    return result;
-  };
-}
+Watchman::Executor WatchmanServer::MissFillExecutor() { return MissFillFn{}; }
 
 int64_t WatchmanServer::NowMs() const {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -378,6 +385,12 @@ void WatchmanServer::Stop() {
   uring_closing_.clear();
   uring_conns_.clear();
   uring_rearm_.clear();
+  // An armed (multishot) accept keeps a listening socket alive past
+  // close() until the ring's asynchronous teardown completes; shutting
+  // the listeners down first makes the ports refuse connections the
+  // moment Stop() returns, on either backend.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (admin_listen_fd_ >= 0) ::shutdown(admin_listen_fd_, SHUT_RDWR);
   uring_.reset();
   finishing_.clear();
   paused_reads_.clear();
@@ -641,20 +654,32 @@ void WatchmanServer::ReadReady(const std::shared_ptr<Connection>& conn) {
 }
 
 bool WatchmanServer::CanInline(const std::shared_ptr<Connection>& conn,
-                               std::string_view body) const {
+                               std::string_view body,
+                               std::string_view rest) const {
   // Peek the claimed opcode (prologue byte 1); a frame too short to
   // carry one takes the worker path and errors there.
   if (body.size() < 2) return false;
   const uint8_t raw_op = static_cast<uint8_t>(body[1]);
-  if (raw_op != static_cast<uint8_t>(OpCode::kPing) &&
-      raw_op != static_cast<uint8_t>(OpCode::kGet) &&
-      raw_op != static_cast<uint8_t>(OpCode::kStats)) {
+  if (raw_op == static_cast<uint8_t>(OpCode::kExecute)) {
+    // A miss-fill EXECUTE only copies the client's fill into the cache;
+    // a real warehouse executor never runs here. And only the last
+    // complete frame buffered qualifies, so a pipelined EXECUTE burst
+    // stays on the worker pool under the global inflight budget.
+    if (!inline_execute_) return false;
+    std::string_view next;
+    size_t next_size = 0;
+    const StatusOr<bool> more =
+        ExtractFrame(rest, options_.max_frame_bytes, &next, &next_size);
+    if (!more.ok() || *more) return false;
+  } else if (raw_op != static_cast<uint8_t>(OpCode::kPing) &&
+             raw_op != static_cast<uint8_t>(OpCode::kGet) &&
+             raw_op != static_cast<uint8_t>(OpCode::kStats)) {
     return false;
   }
   // Starvation guards: a bounded burst per tick, never ahead of this
   // connection's queued frames (response order), never while any
-  // connection has queued work (a waiting EXECUTE is served first --
-  // subsequent cheap frames queue FIFO behind it).
+  // connection has queued work (a waiting frame is served first --
+  // subsequent inline-eligible frames queue FIFO behind it).
   if (inline_budget_used_ >= options_.max_inline_burst) return false;
   if (conn->inflight.load(std::memory_order_acquire) != 0) return false;
   return ready_depth_.load(std::memory_order_acquire) == 0;
@@ -779,7 +804,9 @@ void WatchmanServer::ParseFrames(const std::shared_ptr<Connection>& conn) {
         continue;
       }
     }
-    if (options_.inline_dispatch && CanInline(conn, body)) {
+    const std::string_view rest =
+        std::string_view(conn->inbuf).substr(consumed + frame_size);
+    if (options_.inline_dispatch && CanInline(conn, body, rest)) {
       ++inline_budget_used_;
       inline_dispatched_.fetch_add(1, std::memory_order_relaxed);
       InlineDispatch(conn, body);
@@ -1601,6 +1628,9 @@ void WatchmanServer::ProcessFrame(Work& work, WireRequest* request,
     requests_served_.fetch_add(1, std::memory_order_relaxed);
     AppendResponse(*response, encoded);
   }
+  // Recycle the body before the response can reach the peer, so the
+  // peer's next frame finds it back in the pool.
+  body_pool_.Release(std::move(work.body));
   // Write coalescing: when this frame is the only one in flight the
   // response is sent directly (lowest latency for blocking clients);
   // when more frames of this connection are being worked on, append
@@ -1649,7 +1679,6 @@ void WatchmanServer::ProcessFrame(Work& work, WireRequest* request,
       (prev == 1 && input_closed_hint)) {
     MarkDirty(conn);
   }
-  body_pool_.Release(std::move(work.body));
 }
 
 void WatchmanServer::Dispatch(const WireRequest& request,

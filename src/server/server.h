@@ -26,12 +26,19 @@
 //
 // Inline fast path: when a parsed frame is a cheap op (PING, GET,
 // STATS), the connection has no frames in flight (response ordering)
-// and the ready-queue is empty (a queued EXECUTE is never delayed), the
-// IO thread dispatches it inline and appends the response to the
+// and the ready-queue is empty (queued work is never delayed), the IO
+// thread dispatches it inline and appends the response to the
 // out-buffer directly -- a blocking client's RTT skips the
-// worker-queue hop entirely. A per-tick burst budget
-// (Options::max_inline_burst) bounds how long the loop can stay in
-// inline mode so a PING flood cannot starve event processing.
+// worker-queue hop entirely. A miss-fill EXECUTE qualifies too, when
+// the facade's executor is MissFillExecutor() (recognized by its
+// callable type, so a real warehouse executor never runs on the IO
+// thread) and the frame is the last complete one buffered on its
+// connection (a pipelined EXECUTE burst stays on the worker pool,
+// under the admission layer's global inflight budget). INVALIDATE,
+// INVALIDATE_RELATION and COMPACT always take a worker. A per-tick
+// burst budget (Options::max_inline_burst) bounds how long the loop
+// can stay in inline mode so a PING flood cannot starve event
+// processing.
 //
 // Allocation discipline: frame bodies, connection in/out buffers and
 // receive chunks are recycled through a FramePool, and the ready-queue
@@ -76,10 +83,12 @@
 // EXECUTE op may carry the result the *client* computed for a miss.
 // Construct the facade with MissFillExecutor() and the server routes
 // that client-supplied fill through the facade's normal executor path
-// (admission, single-flight, coherence epochs included). An embedder
-// that does own a warehouse can instead construct the facade with a
-// real executor; fills are then ignored by that executor and EXECUTE
-// without a fill executes server-side.
+// (admission, single-flight, coherence epochs included); such an
+// EXECUTE only copies the fill, so it may run inline (above). An
+// embedder that does own a warehouse can instead construct the facade
+// with a real executor; fills are then ignored by that executor,
+// EXECUTE without a fill executes server-side, and EXECUTE always runs
+// on a worker.
 
 #ifndef WATCHMAN_SERVER_SERVER_H_
 #define WATCHMAN_SERVER_SERVER_H_
@@ -167,9 +176,10 @@ class WatchmanServer {
     /// Event backend; kIoUring and kAuto fall back to epoll when the
     /// kernel cannot provide io_uring (kIoUring logs a warning).
     ServerBackend backend = ServerBackend::kEpoll;
-    /// Dispatch cheap ops (PING/GET/STATS) inline on the IO thread when
-    /// the connection has nothing in flight and the ready-queue is
-    /// empty, skipping the worker hop.
+    /// Dispatch cheap ops (PING/GET/STATS, and miss-fill EXECUTE; see
+    /// the header comment) inline on the IO thread when the connection
+    /// has nothing in flight and the ready-queue is empty, skipping the
+    /// worker hop.
     bool inline_dispatch = true;
     /// Inline dispatches allowed per event-loop tick; beyond it frames
     /// take the worker path until the next tick (starvation guard).
@@ -318,7 +328,8 @@ class WatchmanServer {
   /// An executor that serves the client-supplied miss-fill attached to
   /// the EXECUTE request being handled on this thread, and fails with
   /// NotFound when the request carried none. Pass to the Watchman
-  /// constructor when the daemon itself has no warehouse.
+  /// constructor when the daemon itself has no warehouse; a server over
+  /// such a facade answers miss-fill EXECUTEs on its inline path.
   static Watchman::Executor MissFillExecutor();
 
  private:
@@ -415,9 +426,11 @@ class WatchmanServer {
   /// every response transitions to draining/close.
   void HandleAdminData(const std::shared_ptr<Connection>& conn)
       REQUIRES(io_thread_role);
-  /// True when `body` may run inline on the IO thread right now.
+  /// True when `body` may run inline on the IO thread right now;
+  /// `rest` is what the connection has buffered after it.
   bool CanInline(const std::shared_ptr<Connection>& conn,
-                 std::string_view body) const REQUIRES(io_thread_role);
+                 std::string_view body, std::string_view rest) const
+      REQUIRES(io_thread_role);
   /// Decode + dispatch + append-response on the IO thread (no flush;
   /// ParseFrames flushes once per batch).
   void InlineDispatch(const std::shared_ptr<Connection>& conn,
@@ -507,6 +520,9 @@ class WatchmanServer {
 
   Watchman* cache_;
   Options options_;
+  /// The facade runs MissFillExecutor(), so a miss-fill EXECUTE may
+  /// take the inline path (CanInline).
+  const bool inline_execute_;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;

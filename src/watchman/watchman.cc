@@ -38,6 +38,10 @@ RequestScratch& Scratch() {
   return scratch;
 }
 
+/// GET-miss message: fixed and short enough for the small-string
+/// buffer, so answering a miss allocates nothing.
+constexpr const char* kNotCachedMessage = "not cached";
+
 }  // namespace
 
 Watchman::Watchman(Options options, Executor executor)
@@ -420,7 +424,7 @@ StatusOr<std::string> Watchman::GetCached(const std::string& query_text) {
   scratch.probe.result_bytes = 0;
   scratch.probe.cost = 0;
   if (!cache_->TryReferenceCached(scratch.probe, NowTick())) {
-    return Status::NotFound("not cached: " + scratch.id);
+    return Status::NotFound(kNotCachedMessage);
   }
   StatusOr<std::string> payload = GetPayload(scratch.id);
   if (!payload.ok()) {
@@ -442,7 +446,7 @@ Status Watchman::GetCachedInto(const std::string& query_text,
   scratch.probe.result_bytes = 0;
   scratch.probe.cost = 0;
   if (!cache_->TryReferenceCached(scratch.probe, NowTick())) {
-    return Status::NotFound("not cached: " + scratch.id);
+    return Status::NotFound(kNotCachedMessage);
   }
   const Status fetched = GetPayloadInto(scratch.id, out);
   if (!fetched.ok()) {

@@ -175,7 +175,8 @@ class Watchman {
   /// absent. This is the daemon's GET op: a remote caller probes, and
   /// on NotFound materializes the result itself and offers it back
   /// through an Execute() miss-fill, so the two round trips together
-  /// count as one reference, like one local Execute().
+  /// count as one reference, like one local Execute(). A miss answers
+  /// with a fixed short NotFound message, so it allocates nothing.
   StatusOr<std::string> GetCached(const std::string& query_text);
 
   /// GetCached() into a caller-owned buffer, reusing its capacity: the
@@ -216,6 +217,9 @@ class Watchman {
   const PayloadStore& payload_store() const { return *payloads_; }
   const ShardedQueryCache& cache() const { return *cache_; }
   const FacadeMetrics& facade_metrics() const { return metrics_; }
+  /// The executor the facade was built with (a server inspects its
+  /// target type to learn how expensive a miss is).
+  const Executor& executor() const { return executor_; }
   /// The payload-store breaker, for observability (state/trips/rejects).
   const CircuitBreaker& store_breaker() const { return store_breaker_; }
   /// Breaker state at this instant: 0 closed, 1 open, 2 half-open.

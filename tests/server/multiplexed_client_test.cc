@@ -1,8 +1,10 @@
 // MultiplexedClient <-> event-loop server integration: one connection
 // shared by many threads, out-of-order response routing by request id,
 // pipelined writes, partial-write resumption under a tiny SO_SNDBUF,
-// and Await deadlines. The suite name contains "Server" so the
-// concurrency-heavy tests run under the CI TSan job's *Server* filter.
+// Await deadlines, and the leader/followers read role (the client owns
+// no thread; awaiting threads take turns reading the socket). The
+// suite name contains "Server" so the concurrency-heavy tests run
+// under the CI TSan job's *Server* filter.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +16,11 @@
 #include <atomic>
 #include <barrier>
 #include <chrono>
+#include <condition_variable>
+#include <filesystem>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,14 +36,70 @@ std::string PayloadFor(const std::string& text) {
   return "payload(" + text + ")";
 }
 
+/// Threads of this process right now.
+size_t ThreadCount() {
+  size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+/// A warehouse executor that answers queries starting with "select held"
+/// only once the test releases them, so the daemon delays exactly those
+/// responses; every other query is answered at once.
+class LatchedWarehouse {
+ public:
+  Watchman::Executor Executor() {
+    return [this](const std::string& text)
+               -> StatusOr<Watchman::ExecutionResult> {
+      if (text.rfind("select held", 0) == 0) {
+        std::unique_lock<std::mutex> lock(mu_);
+        ++held_;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return all_released_ || released_.count(text); });
+      }
+      return Watchman::ExecutionResult{PayloadFor(text), 100, {}};
+    };
+  }
+
+  /// Blocks until `n` held queries have entered the executor.
+  void AwaitHeld(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return held_ >= n; });
+  }
+
+  void Release(const std::string& text) {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_.insert(text);
+    cv_.notify_all();
+  }
+
+  void ReleaseAll() {
+    std::lock_guard<std::mutex> lock(mu_);
+    all_released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int held_ = 0;
+  bool all_released_ = false;
+  std::set<std::string> released_;
+};
+
 class MultiplexedClientServerTest : public testing::Test {
  protected:
-  void StartServer(WatchmanServer::Options server_options = {}) {
+  void StartServer(
+      WatchmanServer::Options server_options = {},
+      Watchman::Executor executor = WatchmanServer::MissFillExecutor()) {
     Watchman::Options options;
     options.capacity_bytes = 64 << 20;
     options.num_shards = 8;
     cache_ = std::make_unique<Watchman>(std::move(options),
-                                        WatchmanServer::MissFillExecutor());
+                                        std::move(executor));
     server_options.port = 0;  // ephemeral: parallel-safe in CI
     server_ = std::make_unique<WatchmanServer>(cache_.get(), server_options);
     ASSERT_TRUE(server_->Start().ok());
@@ -170,6 +232,173 @@ TEST_F(MultiplexedClientServerTest,
   const CacheStats stats = cache_->stats();
   EXPECT_EQ(stats.hits, static_cast<uint64_t>(kThreads * kIterations));
   EXPECT_TRUE(cache_->cache().CheckInvariants().ok());
+}
+
+TEST_F(MultiplexedClientServerTest, ConnectStartsNoThread) {
+  StartServer();
+  const size_t before = ThreadCount();
+  auto client = MakeClient();
+  EXPECT_EQ(ThreadCount(), before);
+  // Nor does a round trip: the awaiting thread reads its own response.
+  ASSERT_TRUE(client->Ping().ok());
+  auto ticket = client->StartPing();
+  ASSERT_TRUE(ticket.ok());
+  ASSERT_TRUE(client->Await(*ticket).ok());
+  EXPECT_EQ(ThreadCount(), before);
+}
+
+TEST_F(MultiplexedClientServerTest,
+       ThreeThreadsShareOneConnectionWithoutLostWakeups) {
+  // Three threads x 10 000 blocking GETs on one connection: the read
+  // role passes between them thousands of times. A lost wake-up -- a
+  // response nobody reads, or a follower nobody promotes -- would
+  // surface as a deadline error; a routing slip as a wrong payload.
+  StartServer();
+  MultiplexedClient::Options options = ClientOptions();
+  options.io_timeout_ms = 10000;
+  auto connected = MultiplexedClient::Connect(options);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  std::unique_ptr<MultiplexedClient> client = std::move(connected).value();
+  constexpr int kThreads = 3;
+  constexpr int kIterations = 10000;
+  constexpr int kQueriesPerThread = 4;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int q = 0; q < kQueriesPerThread; ++q) {
+      const std::string query =
+          "select t" + std::to_string(t) + " q" + std::to_string(q);
+      ASSERT_TRUE(client->Execute(query, PayloadFor(query), 100, {}).ok());
+    }
+  }
+  std::atomic<int> errors{0};
+  std::atomic<int> wrong_payloads{0};
+  std::barrier start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int i = 0; i < kIterations; ++i) {
+        const std::string query = "select t" + std::to_string(t) + " q" +
+                                  std::to_string(i % kQueriesPerThread);
+        auto got = client->Get(query);
+        if (!got.ok()) {
+          errors.fetch_add(1);
+        } else if (got->payload != PayloadFor(query)) {
+          wrong_payloads.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(wrong_payloads.load(), 0);
+  EXPECT_EQ(server_->connections_accepted(), 1u);
+  EXPECT_EQ(cache_->stats().hits,
+            static_cast<uint64_t>(kThreads * kIterations));
+}
+
+TEST_F(MultiplexedClientServerTest, DelayedResponseDoesNotStallOtherThreads) {
+  // One thread awaits a response the daemon holds back (a refresh
+  // stuck in the warehouse) while another completes 1 000 round trips
+  // on the same connection: whoever holds the read role routes the
+  // fast responses, so the slow call delays nobody else.
+  LatchedWarehouse warehouse;
+  WatchmanServer::Options server_options;
+  server_options.num_workers = 4;
+  StartServer(server_options, warehouse.Executor());
+  MultiplexedClient::Options options = ClientOptions();
+  options.io_timeout_ms = 10000;
+  auto connected = MultiplexedClient::Connect(options);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  std::unique_ptr<MultiplexedClient> client = std::move(connected).value();
+  const std::string fast_query = "select fast from cached";
+  ASSERT_TRUE(client->Execute(fast_query).ok());  // cached from now on
+
+  const std::string slow_query = "select held refresh";
+  std::atomic<bool> slow_done{false};
+  StatusOr<MultiplexedClient::FetchResult> slow =
+      Status::Internal("not answered");
+  std::thread slow_thread([&] {
+    slow = client->Execute(slow_query);
+    slow_done.store(true);
+  });
+  warehouse.AwaitHeld(1);
+  int fast_errors = 0;
+  for (int i = 0; i < 1000; ++i) {
+    auto got = client->Get(fast_query);
+    if (!got.ok() || got->payload != PayloadFor(fast_query)) ++fast_errors;
+  }
+  EXPECT_EQ(fast_errors, 0);
+  EXPECT_FALSE(slow_done.load());  // the slow call really overlapped
+  warehouse.ReleaseAll();
+  slow_thread.join();
+  ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+  EXPECT_EQ(slow->payload, PayloadFor(slow_query));
+}
+
+TEST_F(MultiplexedClientServerTest, FollowerDeadlineExpiresWhileAnotherReads) {
+  // Three threads await held responses, each starting 400 ms after the
+  // previous one, with a 1.5 s deadline. The first leads and times
+  // out; the role passes to the newest follower, so the middle thread
+  // times out as a follower while the third is still reading. The third
+  // call must then still receive its response once the daemon releases
+  // it, and the connection must stay usable for everyone afterwards.
+  LatchedWarehouse warehouse;
+  WatchmanServer::Options server_options;
+  server_options.num_workers = 8;
+  StartServer(server_options, warehouse.Executor());
+  MultiplexedClient::Options options = ClientOptions();
+  options.io_timeout_ms = 1500;
+  auto connected = MultiplexedClient::Connect(options);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  std::unique_ptr<MultiplexedClient> client = std::move(connected).value();
+
+  using Clock = std::chrono::steady_clock;
+  struct Call {
+    std::string query;
+    StatusOr<MultiplexedClient::FetchResult> result =
+        Status::Internal("not answered");
+    double elapsed_ms = 0;
+    std::atomic<bool> done{false};
+  };
+  Call calls[3];
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 3; ++i) {
+    calls[i].query = "select held " + std::to_string(i);
+    threads.emplace_back([&, i] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(400 * i));
+      const auto begin = Clock::now();
+      calls[i].result = client->Execute(calls[i].query);
+      calls[i].elapsed_ms = std::chrono::duration<double, std::milli>(
+                                Clock::now() - begin)
+                                .count();
+      calls[i].done.store(true);
+    });
+  }
+  // The middle call's deadline passes first after the leader's; only
+  // then does the daemon answer the third call.
+  while (!calls[1].done.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_FALSE(calls[2].done.load());
+  warehouse.Release(calls[2].query);
+  for (auto& thread : threads) thread.join();
+
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_FALSE(calls[i].result.ok()) << i;
+    EXPECT_EQ(calls[i].result.status().code(), StatusCode::kIOError) << i;
+    EXPECT_GE(calls[i].elapsed_ms, 1400.0) << i;
+  }
+  ASSERT_TRUE(calls[2].result.ok()) << calls[2].result.status().ToString();
+  EXPECT_EQ(calls[2].result->payload, PayloadFor(calls[2].query));
+
+  // Late responses to the timed-out calls are dropped; the connection
+  // keeps serving.
+  warehouse.ReleaseAll();
+  EXPECT_TRUE(client->Ping().ok());
+  auto again = client->Execute(calls[0].query);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->payload, PayloadFor(calls[0].query));
+  EXPECT_EQ(server_->connections_accepted(), 1u);
 }
 
 TEST_F(MultiplexedClientServerTest, PartialWriteResumptionUnderTinySndbuf) {

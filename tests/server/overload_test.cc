@@ -207,9 +207,10 @@ TEST_P(OverloadTest, GlobalInflightBudgetShedsPipelinedBurst) {
   server_options.num_workers = 1;
   StartServer(server_options);
 
-  // EXECUTE is never inline-dispatched, so a pipelined burst must pass
-  // through the worker queue -- and the budget admits one frame at a
-  // time. Raw Start/Await is used so shed responses are observable.
+  // A pipelined EXECUTE burst takes the worker queue (only the last
+  // complete frame buffered on an idle connection may run inline) --
+  // and the budget admits one frame at a time. Raw Start/Await is used
+  // so shed responses are observable.
   MultiplexedClient::Options options;
   options.port = server_->port();
   auto client = MultiplexedClient::Connect(options);

@@ -5,16 +5,18 @@
 // must record zero allocations on the server's IO thread and workers.
 //
 // Two paths are measured per backend:
-//  * the inline fast path -- a blocking client's PING/GET round trips
-//    are answered on the IO thread, reusing the connection buffers and
-//    the IO-thread request/response scratch;
+//  * the inline fast path -- a blocking client's PING, GET-hit and
+//    GET-miss round trips are answered on the IO thread, reusing the
+//    connection buffers and the IO-thread request/response scratch; a
+//    miss answers NotFound with a fixed short message, so it allocates
+//    no more than a hit;
 //  * the worker path (inline dispatch disabled) -- every frame cycles
 //    a pooled body through the FrameQueue ring and a worker's scratch,
 //    exercising FramePool recycling end to end.
 //
 // EXECUTE is not measured: its facade API returns the payload by value
-// (a per-hit string), which is fine off the worker pool but not
-// allocation-free by contract.
+// (a per-request string), so it is not allocation-free by contract on
+// either path -- a miss-fill EXECUTE may now run inline too.
 
 #include <gtest/gtest.h>
 
@@ -60,21 +62,27 @@ class ServerAllocTest : public testing::TestWithParam<ServerBackend> {
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     client_ = std::move(client).value();
 
-    // One cached set so GET round trips are hits (a NotFound status
-    // carries an allocated message and is not a steady-state path).
+    // One cached set so kQuery's GET round trips are hits.
     ASSERT_TRUE(
         client_->Execute(kQuery, std::string(64, 'p'), 1000, {}).ok());
   }
 
-  void RunTraffic(int rounds) {
+  /// `misses`: each round also sends a GET for a set never cached.
+  void RunTraffic(int rounds, bool misses) {
     for (int i = 0; i < rounds; ++i) {
       ASSERT_TRUE(client_->Ping().ok());
       auto got = client_->Get(kQuery);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
+      if (misses) {
+        auto miss = client_->Get(kMissQuery);
+        ASSERT_EQ(miss.status().code(), StatusCode::kNotFound)
+            << miss.status().ToString();
+      }
     }
   }
 
   static constexpr const char* kQuery = "select hot from steady_state";
+  static constexpr const char* kMissQuery = "select cold from never_filled";
 
   std::unique_ptr<Watchman> cache_;
   std::unique_ptr<WatchmanServer> server_;
@@ -83,29 +91,31 @@ class ServerAllocTest : public testing::TestWithParam<ServerBackend> {
 
 TEST_P(ServerAllocTest, InlineFastPathDoesNotAllocate) {
   StartServer(/*inline_dispatch=*/true);
-  RunTraffic(/*rounds=*/100);  // warm buffers, scratch, counters
+  // Warm buffers, scratch, counters.
+  RunTraffic(/*rounds=*/100, /*misses=*/true);
   const uint64_t inlined_before = server_->inline_dispatched();
 
   testsupport::GlobalCountingScope scope;
-  RunTraffic(/*rounds=*/100);
+  RunTraffic(/*rounds=*/100, /*misses=*/true);
   const uint64_t allocations = scope.count();
   testsupport::SetGlobalCounting(false);
 
-  // All 200 measured frames really took the inline path...
-  EXPECT_EQ(server_->inline_dispatched(), inlined_before + 200);
+  // All 300 measured frames (PING, GET hit, GET miss) really took the
+  // inline path...
+  EXPECT_EQ(server_->inline_dispatched(), inlined_before + 300);
   // ...and the server side allocated nothing to serve them.
   EXPECT_EQ(allocations, 0u)
-      << "inline path allocated " << allocations << " times over 200 frames";
+      << "inline path allocated " << allocations << " times over 300 frames";
 }
 
 TEST_P(ServerAllocTest, WorkerPathDoesNotAllocateOncePoolsAreWarm) {
   StartServer(/*inline_dispatch=*/false);
-  RunTraffic(/*rounds=*/100);
+  RunTraffic(/*rounds=*/100, /*misses=*/false);
   ASSERT_EQ(server_->inline_dispatched(), 0u);
   const uint64_t reuses_before = server_->frame_pool().reuses();
 
   testsupport::GlobalCountingScope scope;
-  RunTraffic(/*rounds=*/100);
+  RunTraffic(/*rounds=*/100, /*misses=*/false);
   const uint64_t allocations = scope.count();
   testsupport::SetGlobalCounting(false);
 

@@ -17,8 +17,10 @@
 #include <atomic>
 #include <barrier>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -338,10 +340,11 @@ TEST_P(ServerIntegrationTest, BatchedRequestsOnOneConnection) {
 }
 
 TEST_P(ServerIntegrationTest, BlockingCheapOpsTakeTheInlinePath) {
-  // A blocking client on an otherwise idle server: every PING/GET/STATS
-  // frame arrives alone with nothing in flight and an empty
-  // ready-queue, so each one must be answered inline on the IO thread.
-  // EXECUTE is never inlined.
+  // A blocking client on an otherwise idle server: every frame arrives
+  // alone with nothing in flight and an empty ready-queue, so each
+  // PING/GET/STATS must be answered inline on the IO thread -- and so
+  // must the miss-fill EXECUTE, because the facade runs
+  // MissFillExecutor() and the frame is the last one buffered.
   StartServer();
   auto client = MakeClient();
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(client->Ping().ok());
@@ -350,8 +353,60 @@ TEST_P(ServerIntegrationTest, BlockingCheapOpsTakeTheInlinePath) {
   ASSERT_TRUE(client->Stats().ok());
   EXPECT_EQ(server_->inline_dispatched(), 12u);
   ASSERT_TRUE(client->Execute("select 1", "fill", 10, {}).ok());
-  EXPECT_EQ(server_->inline_dispatched(), 12u);  // worker path
+  EXPECT_EQ(server_->inline_dispatched(), 13u);
   EXPECT_EQ(server_->StatsSnapshot().requests_served, 13u);
+  EXPECT_TRUE(cache_->IsCached("select 1"));
+}
+
+TEST_P(ServerIntegrationTest, WarehouseExecutorNeverRunsOnTheIoThread) {
+  // A facade built with a real executor -- here one that blocks on a
+  // latch -- must keep EXECUTE on the worker pool even when the frame
+  // carries a fill and would otherwise qualify for the inline path: a
+  // slow warehouse call on the IO thread would stall every connection.
+  std::mutex latch_mu;
+  std::condition_variable latch_cv;
+  bool released = false;
+  std::atomic<bool> entered{false};
+  Watchman::Options options;
+  options.capacity_bytes = 8 << 20;
+  Watchman cache(std::move(options),
+                 [&](const std::string& text)
+                     -> StatusOr<Watchman::ExecutionResult> {
+                   entered.store(true);
+                   std::unique_lock<std::mutex> lock(latch_mu);
+                   latch_cv.wait(lock, [&] { return released; });
+                   return Watchman::ExecutionResult{PayloadFor(text), 10, {}};
+                 });
+  WatchmanServer server(&cache, BackendOptions());
+  ASSERT_TRUE(server.Start().ok());
+  WatchmanClient::Options client_options;
+  client_options.port = server.port();
+  auto slow = WatchmanClient::Connect(client_options);
+  auto fast = WatchmanClient::Connect(client_options);
+  ASSERT_TRUE(slow.ok());
+  ASSERT_TRUE(fast.ok());
+
+  const std::string query = "select blocked from warehouse";
+  StatusOr<WatchmanClient::FetchResult> result =
+      Status::Internal("not answered");
+  std::thread caller([&] {
+    result = (*slow)->Execute(query, "client fill", 10, {});
+  });
+  // No ASSERT before the join below: the caller thread must be joined.
+  EXPECT_TRUE(Eventually([&] { return entered.load(); }));
+  // The executor is blocked; the IO thread must still answer others.
+  EXPECT_TRUE((*fast)->Ping().ok());
+  EXPECT_EQ(server.inline_dispatched(), 1u);  // the PING only
+  {
+    std::lock_guard<std::mutex> lock(latch_mu);
+    released = true;
+  }
+  latch_cv.notify_all();
+  caller.join();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->payload, PayloadFor(query));  // the warehouse's answer
+  EXPECT_EQ(server.inline_dispatched(), 1u);
+  server.Stop();
 }
 
 TEST_P(ServerIntegrationTest, InlineDispatchDisabledByOption) {
@@ -437,6 +492,74 @@ TEST_P(ServerIntegrationTest, InlineFloodCannotStarveQueuedWork) {
     EXPECT_TRUE(answered[id]) << "request " << id << " never answered";
   }
   EXPECT_TRUE(cache.IsCached("select starved from floods"));
+  server.Stop();
+}
+
+TEST_P(ServerIntegrationTest, InlineExecuteFloodCannotStarveQueuedWork) {
+  // The EXECUTE-frame variant of the flood above: a pipelined burst of
+  // miss-fill EXECUTEs around a PING, one worker, a tiny inline burst
+  // budget. Miss-fill EXECUTEs qualify for the inline path, but only as
+  // the last complete frame buffered, so the burst must drain through
+  // the worker pool -- every frame answered with its own fill, every
+  // set cached.
+  Watchman::Options options;
+  options.capacity_bytes = 8 << 20;
+  Watchman cache(std::move(options), WatchmanServer::MissFillExecutor());
+  WatchmanServer::Options server_options = BackendOptions();
+  server_options.num_workers = 1;
+  server_options.max_inline_burst = 2;
+  WatchmanServer server(&cache, server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr uint64_t kExecutesBefore = 40;
+  constexpr uint64_t kExecutesAfter = 40;
+  const uint64_t ping_id = kExecutesBefore + 1;
+  const uint64_t total = kExecutesBefore + 1 + kExecutesAfter;
+  auto query_for = [](uint64_t id) {
+    return "select flood " + std::to_string(id);
+  };
+  std::string stream;
+  for (uint64_t id = 1; id <= total; ++id) {
+    WireRequest request;
+    request.request_id = id;
+    if (id == ping_id) {
+      request.op = OpCode::kPing;
+    } else {
+      request.op = OpCode::kExecute;
+      request.query_text = query_for(id);
+      request.has_fill = true;
+      request.fill_payload = PayloadFor(request.query_text);
+      request.fill_cost = 100;
+    }
+    AppendRequest(request, &stream);
+  }
+
+  RawConn conn(server.port());
+  ASSERT_TRUE(conn.connected());
+  conn.Send(stream);
+  std::vector<bool> answered(total + 1, false);
+  for (uint64_t i = 0; i < total; ++i) {
+    auto response = conn.ReadResponse();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_GE(response->request_id, 1u);
+    ASSERT_LE(response->request_id, total);
+    EXPECT_FALSE(answered[response->request_id]) << response->request_id;
+    answered[response->request_id] = true;
+    EXPECT_EQ(response->code, StatusCode::kOk) << response->message;
+    if (response->request_id == ping_id) {
+      EXPECT_EQ(response->op, OpCode::kPing);
+    } else {
+      EXPECT_EQ(response->op, OpCode::kExecute);
+      EXPECT_EQ(response->payload,
+                PayloadFor(query_for(response->request_id)));
+    }
+  }
+  for (uint64_t id = 1; id <= total; ++id) {
+    EXPECT_TRUE(answered[id]) << "request " << id << " never answered";
+    if (id != ping_id) {
+      EXPECT_TRUE(cache.IsCached(query_for(id))) << id;
+    }
+  }
   server.Stop();
 }
 
@@ -766,18 +889,37 @@ TEST_P(ServerIntegrationTest, IoTimeoutReapsStalledConnection) {
 }
 
 TEST_P(ServerIntegrationTest, GracefulShutdownStopsServing) {
-  StartServer();
-  auto client = MakeClient();
-  ASSERT_TRUE(client->Ping().ok());
-  server_->Stop();
-  EXPECT_FALSE(server_->running());
+  Watchman::Options cache_options;
+  cache_options.capacity_bytes = 8 << 20;
+  Watchman cache(std::move(cache_options),
+                 WatchmanServer::MissFillExecutor());
+  WatchmanServer::Options server_options = BackendOptions();
+  server_options.admin_port = 0;
+  WatchmanServer server(&cache, server_options);
+  ASSERT_TRUE(server.Start().ok());
+  const uint16_t port = server.port();
+  const uint16_t admin_port = server.admin_port();
+  ASSERT_NE(admin_port, 0);
 
-  WatchmanClient::Options options = ClientOptions();
+  WatchmanClient::Options options;
+  options.port = port;
   options.connect_attempts = 1;
+  auto client = WatchmanClient::Connect(options);
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE((*client)->Ping().ok());
+  RawConn admin(admin_port);
+  ASSERT_TRUE(admin.connected());
+  server.Stop();
+  EXPECT_FALSE(server.running());
+
+  // Both ports refuse connections the moment Stop() returns -- on
+  // io_uring too, where an armed multishot accept outlives close().
   auto failed = WatchmanClient::Connect(options);
   EXPECT_FALSE(failed.ok());
+  RawConn refused(admin_port);
+  EXPECT_FALSE(refused.connected());
   // Stop() is idempotent.
-  server_->Stop();
+  server.Stop();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -572,17 +572,15 @@ Status MultiplexedClient::Flush() {
     MutexLock lock(pending_mu_);
     if (!broken_.ok()) return broken_;
   }
+  std::string batch;
   {
-    // The two buffers trade places, so both keep their capacity and a
-    // steady request stream encodes without allocating.
     MutexLock lock(send_mu_);
-    flush_batch_.swap(outbuf_);
+    batch.swap(outbuf_);
   }
-  if (flush_batch_.empty()) return Status::OK();
+  if (batch.empty()) return Status::OK();
   const auto deadline = DeadlineIn(options_.io_timeout_ms);
   size_t sent = 0;
-  const Status status = SendAllFd(fd_, flush_batch_, deadline, &sent);
-  flush_batch_.clear();
+  const Status status = SendAllFd(fd_, batch, deadline, &sent);
   if (!status.ok()) {
     Break(status);
     return status;

@@ -296,8 +296,6 @@ class MultiplexedClient {
   Mutex flush_mu_ ACQUIRED_BEFORE(send_mu_, pending_mu_);
   Mutex send_mu_;
   std::string outbuf_ GUARDED_BY(send_mu_);
-  /// The batch being sent; swaps with outbuf_ so both keep capacity.
-  std::string flush_batch_ GUARDED_BY(flush_mu_);
 
   /// The read role: held by the one Await()ing thread that reads the
   /// socket, taken only with TryLock (TRY_ACQUIRE) so a waiter never

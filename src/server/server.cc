@@ -1725,7 +1725,9 @@ void WatchmanServer::Dispatch(const WireRequest& request,
       t_fill = nullptr;
       if (payload.ok()) {
         response.cache_hit = request.has_fill ? !fill.consumed : cached_before;
-        response.payload = std::move(*payload);
+        // Copy, not move: a move-assign would hand the scratch's pooled
+        // buffer to the temporary, and the next GET hit would regrow it.
+        response.payload.assign(*payload);
       } else {
         response.code = payload.status().code();
         response.message = payload.status().message();

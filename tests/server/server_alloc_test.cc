@@ -14,9 +14,11 @@
 //    a pooled body through the FrameQueue ring and a worker's scratch,
 //    exercising FramePool recycling end to end.
 //
-// EXECUTE is not measured: its facade API returns the payload by value
-// (a per-request string), so it is not allocation-free by contract on
-// either path -- a miss-fill EXECUTE may now run inline too.
+// EXECUTE itself is not measured: its facade API returns the payload
+// by value (a per-request string), so it is not allocation-free by
+// contract on either path. A miss-fill EXECUTE runs inline too, though,
+// on the same IO-thread scratch, so the inline test also checks that
+// one does not cost the GET hits after it their pooled capacity.
 
 #include <gtest/gtest.h>
 
@@ -106,6 +108,30 @@ TEST_P(ServerAllocTest, InlineFastPathDoesNotAllocate) {
   // ...and the server side allocated nothing to serve them.
   EXPECT_EQ(allocations, 0u)
       << "inline path allocated " << allocations << " times over 300 frames";
+
+  // Interleave inline miss-fill EXECUTEs, whose payloads are smaller
+  // than kQuery's but too long for the small-string buffer: the GET hit
+  // after each one must still find the scratch's capacity in place.
+  uint64_t after_fill_allocations = 0;
+  for (int i = 0; i < 50; ++i) {
+    const uint64_t inlined = server_->inline_dispatched();
+    ASSERT_TRUE(client_
+                    ->Execute("select fill " + std::to_string(i),
+                              std::string(32, 'f'), 1000, {})
+                    .ok());
+    // The PING is answered only after the IO thread has finished the
+    // EXECUTE, so none of its work leaks into the measured window.
+    ASSERT_TRUE(client_->Ping().ok());
+    ASSERT_EQ(server_->inline_dispatched(), inlined + 2);
+    testsupport::GlobalCountingScope get_scope;
+    auto got = client_->Get(kQuery);
+    after_fill_allocations += get_scope.count();
+    testsupport::SetGlobalCounting(false);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+  }
+  EXPECT_EQ(after_fill_allocations, 0u)
+      << "GET hits after an inline EXECUTE allocated "
+      << after_fill_allocations << " times over 50 frames";
 }
 
 TEST_P(ServerAllocTest, WorkerPathDoesNotAllocateOncePoolsAreWarm) {

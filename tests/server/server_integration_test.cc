@@ -122,7 +122,10 @@ class ServerIntegrationTest : public testing::TestWithParam<ServerBackend> {
     return server_options;
   }
 
-  void StartServer(size_t num_shards = 8, size_t num_workers = 8) {
+  /// With `with_admin_port` the server also listens on an ephemeral
+  /// admin port, readable back via server_->admin_port().
+  void StartServer(size_t num_shards = 8, size_t num_workers = 8,
+                   bool with_admin_port = false) {
     Watchman::Options options;
     options.capacity_bytes = 8 << 20;
     options.num_shards = num_shards;
@@ -130,9 +133,13 @@ class ServerIntegrationTest : public testing::TestWithParam<ServerBackend> {
                                         WatchmanServer::MissFillExecutor());
     WatchmanServer::Options server_options = BackendOptions();
     server_options.num_workers = num_workers;
+    if (with_admin_port) server_options.admin_port = 0;
     server_ = std::make_unique<WatchmanServer>(cache_.get(), server_options);
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_NE(server_->port(), 0);
+    if (with_admin_port) {
+      ASSERT_NE(server_->admin_port(), 0);
+    }
     // KernelSupported() passed, so a requested io_uring backend must
     // actually serve (a silent fallback here would shadow coverage).
     ASSERT_EQ(server_->effective_backend(), GetParam());
@@ -889,37 +896,25 @@ TEST_P(ServerIntegrationTest, IoTimeoutReapsStalledConnection) {
 }
 
 TEST_P(ServerIntegrationTest, GracefulShutdownStopsServing) {
-  Watchman::Options cache_options;
-  cache_options.capacity_bytes = 8 << 20;
-  Watchman cache(std::move(cache_options),
-                 WatchmanServer::MissFillExecutor());
-  WatchmanServer::Options server_options = BackendOptions();
-  server_options.admin_port = 0;
-  WatchmanServer server(&cache, server_options);
-  ASSERT_TRUE(server.Start().ok());
-  const uint16_t port = server.port();
-  const uint16_t admin_port = server.admin_port();
-  ASSERT_NE(admin_port, 0);
-
-  WatchmanClient::Options options;
-  options.port = port;
-  options.connect_attempts = 1;
-  auto client = WatchmanClient::Connect(options);
-  ASSERT_TRUE(client.ok());
-  ASSERT_TRUE((*client)->Ping().ok());
+  StartServer(/*num_shards=*/8, /*num_workers=*/8, /*with_admin_port=*/true);
+  auto client = MakeClient();
+  ASSERT_TRUE(client->Ping().ok());
+  const uint16_t admin_port = server_->admin_port();
   RawConn admin(admin_port);
   ASSERT_TRUE(admin.connected());
-  server.Stop();
-  EXPECT_FALSE(server.running());
+  server_->Stop();
+  EXPECT_FALSE(server_->running());
 
   // Both ports refuse connections the moment Stop() returns -- on
   // io_uring too, where an armed multishot accept outlives close().
+  WatchmanClient::Options options = ClientOptions();
+  options.connect_attempts = 1;
   auto failed = WatchmanClient::Connect(options);
   EXPECT_FALSE(failed.ok());
   RawConn refused(admin_port);
   EXPECT_FALSE(refused.connected());
   // Stop() is idempotent.
-  server.Stop();
+  server_->Stop();
 }
 
 INSTANTIATE_TEST_SUITE_P(

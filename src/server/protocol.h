@@ -90,8 +90,8 @@ struct WireRequest {
   /// kInvalidateRelation: the updated relation.
   std::string relation;
   /// kExecute: when true, the request carries the result the client
-  /// computed for a miss -- the daemon's executor serves it if (and only
-  /// if) the lookup actually misses.
+  /// computed for a miss -- a daemon without a warehouse offers it in
+  /// place of an execution if (and only if) the lookup actually misses.
   bool has_fill = false;
   std::string fill_payload;
   uint64_t fill_cost = 1;

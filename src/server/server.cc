@@ -23,36 +23,17 @@
 namespace watchman {
 namespace {
 
-/// The miss-fill the EXECUTE handler staged for the facade executor
-/// running on this worker thread. Single-flight runs the executor on
-/// the leader's thread, so the leader always sees its own fill;
-/// deduplicated followers share the leader's result, exactly like
-/// concurrent local callers.
-struct FillContext {
-  const WireRequest* request = nullptr;
-  bool consumed = false;
-};
-
-thread_local FillContext* t_fill = nullptr;
-
-/// MissFillExecutor()'s callable. A named type, so the server can tell
-/// (std::function::target) that a facade's misses only copy the
-/// client's fill -- cheap enough for the IO thread -- and never call
-/// into a warehouse.
+/// MissFillExecutor()'s callable: a miss-fill facade's misses are
+/// answered by the client's fill, which Dispatch hands to the facade
+/// with the request, so the executor itself only answers an EXECUTE
+/// that carried none. A named type, so the server can tell
+/// (std::function::target) that such a facade never calls into a
+/// warehouse -- cheap enough for the IO thread.
 struct MissFillFn {
   StatusOr<Watchman::ExecutionResult> operator()(
       const std::string& query_text) const {
-    FillContext* fill = t_fill;
-    if (fill == nullptr || fill->request == nullptr) {
-      return Status::NotFound("cache miss and no miss-fill attached: " +
-                              query_text);
-    }
-    fill->consumed = true;
-    Watchman::ExecutionResult result;
-    result.payload = fill->request->fill_payload;
-    result.cost = fill->request->fill_cost;
-    result.relations = fill->request->fill_relations;
-    return result;
+    return Status::NotFound("cache miss and no miss-fill attached: " +
+                            query_text);
   }
 };
 
@@ -72,6 +53,8 @@ constexpr uint64_t kUdRecv = 3;
 constexpr uint64_t kUdPollOut = 4;
 constexpr uint64_t kUdCancel = 5;
 constexpr uint64_t kUdAdminAccept = 6;
+
+constexpr int64_t kNsPerMs = 1000 * 1000;
 
 /// Cap on a buffered admin HTTP request; anything larger answers 431
 /// and closes (a /metrics GET is a few dozen bytes).
@@ -119,7 +102,7 @@ bool ParseServerBackend(std::string_view text, ServerBackend* out) {
 WatchmanServer::WatchmanServer(Watchman* cache, Options options)
     : cache_(cache),
       options_(std::move(options)),
-      inline_execute_(cache->executor().target<MissFillFn>() != nullptr),
+      miss_fill_(cache->executor().target<MissFillFn>() != nullptr),
       admission_(options_.admission) {
   BuildMetricsRegistry();
 }
@@ -138,6 +121,11 @@ int64_t WatchmanServer::NowNs() const {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now() - start_time_)
       .count();
+}
+
+int64_t WatchmanServer::IoNowMs() {
+  if (io_now_ms_ < 0) io_now_ms_ = NowMs();
+  return io_now_ms_;
 }
 
 Status WatchmanServer::Start() {
@@ -435,6 +423,7 @@ void WatchmanServer::IoLoop() {
     const int n = ::epoll_wait(epoll_fd_, events.data(),
                                static_cast<int>(events.size()),
                                options_.poll_interval_ms);
+    io_now_ms_ = -1;  // the tick's first IoNowMs() reads the clock
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
@@ -472,7 +461,7 @@ void WatchmanServer::IoLoop() {
       if ((ev & EPOLLIN) != 0) ReadReady(conn);
       if ((ev & EPOLLOUT) != 0 && conn->fd >= 0) {
         MutexLock lock(conn->out_mu);
-        FlushLocked(conn.get());
+        FlushLocked(conn.get(), IoNowMs());
       }
       if (conn->fd >= 0) {
         UpdateWriteInterest(conn);
@@ -642,7 +631,6 @@ void WatchmanServer::ReadReady(const std::shared_ptr<Connection>& conn) {
       // timeout however much the doomed peer keeps sending.
       continue;
     }
-    conn->last_progress_ms.store(NowMs(), std::memory_order_relaxed);
     conn->inbuf.append(chunk, static_cast<size_t>(n));
     ParseFrames(conn);
     // Honor a pause immediately: keep already-received bytes buffered
@@ -665,7 +653,7 @@ bool WatchmanServer::CanInline(const std::shared_ptr<Connection>& conn,
     // a real warehouse executor never runs here. And only the last
     // complete frame buffered qualifies, so a pipelined EXECUTE burst
     // stays on the worker pool under the global inflight budget.
-    if (!inline_execute_) return false;
+    if (!miss_fill_) return false;
     std::string_view next;
     size_t next_size = 0;
     const StatusOr<bool> more =
@@ -706,7 +694,11 @@ void WatchmanServer::InlineDispatch(const std::shared_ptr<Connection>& conn,
   }
   const int64_t begin_ns = NowNs();
   Dispatch(io_request_, &io_response_);
-  const int64_t latency_ns = NowNs() - begin_ns;
+  const int64_t end_ns = NowNs();
+  // The service timer's second reading is the tick's clock from here
+  // on: ParseFrames stamps progress and activity with it.
+  io_now_ms_ = end_ns / kNsPerMs;
+  const int64_t latency_ns = end_ns - begin_ns;
   RecordOp(io_request_.op, io_response_.code, latency_ns);
   requests_served_.fetch_add(1, std::memory_order_relaxed);
   if (options_.slow_request_us > 0 &&
@@ -735,14 +727,17 @@ void WatchmanServer::RecordShed(ShedReason reason, uint32_t retry_after_ms) {
 }
 
 // IO thread only. Like InlineDispatch's error path, but the connection
-// stays open: a shed is an answer, not a protocol violation.
+// stays open: a shed is an answer, not a protocol violation. Encoded
+// from the inline path's response scratch, whose message capacity is
+// reused, so an overloaded IO thread sheds without allocating.
 void WatchmanServer::ShedFrame(const std::shared_ptr<Connection>& conn,
                                std::string_view body, ShedReason reason,
                                uint32_t retry_after_ms) {
   RecordShed(reason, retry_after_ms);
-  WireResponse err;
+  WireResponse& err = io_response_;
+  err.Reset(OpCode::kPing);
   err.code = StatusCode::kShedRetryLater;
-  err.message = std::string("shed: ") + ShedReasonName(reason);
+  err.message.assign("shed: ").append(ShedReasonName(reason));
   err.retry_after_ms = retry_after_ms;
   PeekPrologue(body, &err.op, &err.request_id);
   MutexLock lock(conn->out_mu);
@@ -755,6 +750,7 @@ void WatchmanServer::ShedFrame(const std::shared_ptr<Connection>& conn,
 
 void WatchmanServer::ParseFrames(const std::shared_ptr<Connection>& conn) {
   if (conn->is_admin) {
+    conn->last_progress_ms.store(IoNowMs(), std::memory_order_relaxed);
     HandleAdminData(conn);
     return;
   }
@@ -839,18 +835,23 @@ void WatchmanServer::ParseFrames(const std::shared_ptr<Connection>& conn) {
   } else if (enqueued > 1) {
     ready_cv_.NotifyAll();
   }
+  // One clock reading stamps the batch (read progress, flush, activity):
+  // after an inline dispatch it is the service timer's, so an inline
+  // request reads the clock twice in all.
+  const int64_t now_ms = IoNowMs();
+  conn->last_progress_ms.store(now_ms, std::memory_order_relaxed);
   if (inlined) {
     // One flush per batch: every inline response of a pipelined burst
     // leaves in a single send.
     bool flushed;
     {
       MutexLock lock(conn->out_mu);
-      flushed = FlushLocked(conn.get());
+      flushed = FlushLocked(conn.get(), now_ms);
     }
     if (!flushed) UpdateWriteInterest(conn);
   }
   if (enqueued > 0 || inlined) {
-    last_activity_ms_.store(NowMs(), std::memory_order_relaxed);
+    last_activity_ms_.store(now_ms, std::memory_order_relaxed);
   }
   // Backpressure: a peer that pipelines faster than workers drain gets
   // its reads paused instead of ballooning the ready-queue.
@@ -1062,7 +1063,7 @@ void WatchmanServer::SweepConnections() {
   // the close once the drain timeout passes without progress. Only
   // these are scanned -- an idle steady state costs the sweep nothing.
   if (!finishing_.empty()) {
-    const int64_t now_ms = NowMs();
+    const int64_t now_ms = IoNowMs();
     const int64_t drain_timeout_ms = options_.io_timeout_ms > 0
                                          ? options_.io_timeout_ms
                                          : kDefaultDrainTimeoutMs;
@@ -1084,7 +1085,7 @@ void WatchmanServer::SweepConnections() {
   // Opt-in reaping of NON-terminal connections stuck mid-frame or
   // mid-flush with no progress (a full scan, only when configured).
   if (options_.io_timeout_ms > 0) {
-    const int64_t now_ms = NowMs();
+    const int64_t now_ms = IoNowMs();
     std::vector<std::shared_ptr<Connection>> to_close;
     for (auto& [fd, conn] : conns_) {
       bool output_pending;
@@ -1107,7 +1108,7 @@ void WatchmanServer::SweepConnections() {
   // list as soon as a response is queued (draining) or the fd closed,
   // so the scan only ever covers truly pending admin connections.
   if (!admin_pending_.empty()) {
-    const int64_t now_ms = NowMs();
+    const int64_t now_ms = IoNowMs();
     for (size_t i = 0; i < admin_pending_.size();) {
       const std::shared_ptr<Connection> conn = admin_pending_[i];
       if (conn->fd < 0 || conn->draining.load(std::memory_order_acquire)) {
@@ -1128,7 +1129,7 @@ void WatchmanServer::SweepConnections() {
   // Bound the admission controller's per-peer map under address churn:
   // peers with no connection and no request for 60s lose their bucket.
   if (admission_.enabled()) {
-    const int64_t now_ms = NowMs();
+    const int64_t now_ms = IoNowMs();
     if (now_ms - last_admission_gc_ms_ >= 1000) {
       last_admission_gc_ms_ = now_ms;
       admission_.GcIdlePeers(NowNs(), int64_t{60} * 1000 * 1000 * 1000);
@@ -1151,7 +1152,7 @@ void WatchmanServer::ProcessDirtyConnections() {
     {
       // Batched flush: whatever workers appended since the wake.
       MutexLock lock(conn->out_mu);
-      FlushLocked(conn.get());
+      FlushLocked(conn.get(), IoNowMs());
     }
     UpdateWriteInterest(conn);
     FinishConnection(conn);
@@ -1207,7 +1208,7 @@ void WatchmanServer::MaybeCompactIdle() {
   if (options_.compact_idle_ms <= 0) return;
   if (ready_depth_.load(std::memory_order_relaxed) != 0) return;
   if (inflight_frames_.load(std::memory_order_acquire) != 0) return;
-  const int64_t now = NowMs();
+  const int64_t now = IoNowMs();
   const int64_t last_activity =
       last_activity_ms_.load(std::memory_order_relaxed);
   if (now - last_activity < options_.compact_idle_ms) return;
@@ -1240,6 +1241,7 @@ void WatchmanServer::UringLoop() {
     // One syscall submits everything armed since the last tick AND
     // waits for the next batch of completions.
     uring_->SubmitAndWait(1, options_.poll_interval_ms);
+    io_now_ms_ = -1;  // the tick's first IoNowMs() reads the clock
     cqes.clear();
     uring_->DrainCompletions(&cqes);
     uring_rearm_.clear();
@@ -1273,7 +1275,7 @@ void WatchmanServer::UringLoop() {
           conn->pollout_armed = false;
           if (conn->fd >= 0 && c.res >= 0) {
             MutexLock lock(conn->out_mu);
-            FlushLocked(conn.get());
+            FlushLocked(conn.get(), IoNowMs());
           }
           if (conn->fd >= 0) uring_rearm_.push_back(conn);
           break;
@@ -1436,10 +1438,7 @@ void WatchmanServer::HandleRecvCqe(const std::shared_ptr<Connection>& conn,
     // the sweep's drain timeout).
     const bool discard =
         conn->fd < 0 || conn->draining.load(std::memory_order_acquire);
-    if (!discard) {
-      conn->last_progress_ms.store(NowMs(), std::memory_order_relaxed);
-      conn->inbuf.append(data, static_cast<size_t>(res));
-    }
+    if (!discard) conn->inbuf.append(data, static_cast<size_t>(res));
     if (has_buf) uring_->RecycleBuffer(bid);
     if (!discard) ParseFrames(conn);
   } else {
@@ -1523,10 +1522,10 @@ bool WatchmanServer::QueueOutput(const std::shared_ptr<Connection>& conn,
   if (conn->send_error) return true;  // dropping; close is imminent
   conn->outbuf.append(bytes);
   output_bytes_.fetch_add(bytes.size(), std::memory_order_relaxed);
-  return FlushLocked(conn.get());
+  return FlushLocked(conn.get(), NowMs());
 }
 
-bool WatchmanServer::FlushLocked(Connection* conn) {
+bool WatchmanServer::FlushLocked(Connection* conn, int64_t now_ms) {
   if (conn->send_error) return true;
   while (conn->out_off < conn->outbuf.size()) {
     const ssize_t n =
@@ -1541,7 +1540,7 @@ bool WatchmanServer::FlushLocked(Connection* conn) {
     conn->out_off += static_cast<size_t>(n);
     output_bytes_.fetch_sub(static_cast<uint64_t>(n),
                             std::memory_order_relaxed);
-    conn->last_progress_ms.store(NowMs(), std::memory_order_relaxed);
+    conn->last_progress_ms.store(now_ms, std::memory_order_relaxed);
   }
   conn->outbuf.clear();
   conn->out_off = 0;
@@ -1645,7 +1644,8 @@ void WatchmanServer::ProcessFrame(Work& work, WireRequest* request,
       conn->outbuf.append(*encoded);
       output_bytes_.fetch_add(encoded->size(), std::memory_order_relaxed);
     }
-    flushed = sole_inflight ? FlushLocked(conn.get()) : false;
+    flushed = sole_inflight ? FlushLocked(conn.get(), t_done / kNsPerMs)
+                            : false;
   }
   if (timed && options_.metrics) {
     const int64_t t_reply = NowNs();
@@ -1671,7 +1671,7 @@ void WatchmanServer::ProcessFrame(Work& work, WireRequest* request,
       conn->input_closed.load(std::memory_order_acquire);
   const uint32_t prev = conn->inflight.fetch_sub(1, std::memory_order_release);
   inflight_frames_.fetch_sub(1, std::memory_order_relaxed);
-  last_activity_ms_.store(NowMs(), std::memory_order_relaxed);
+  last_activity_ms_.store(t_done / kNsPerMs, std::memory_order_relaxed);
   // Poke the IO thread when it has something to do for this connection:
   // flush / resume a partial write, or run the close path now that the
   // last in-flight frame is answered.
@@ -1702,35 +1702,18 @@ void WatchmanServer::Dispatch(const WireRequest& request,
       break;
     }
     case OpCode::kExecute: {
-      FillContext fill;
-      if (request.has_fill) {
-        fill.request = &request;
-        t_fill = &fill;
-      }
-      // Approximate hit flag for executor-mode requests; fill-mode
-      // requests overwrite it below with the exact answer.
-      const bool cached_before =
-          request.has_fill ? false : cache_->IsCached(request.query_text);
-      StatusOr<std::string> payload = cache_->Execute(request.query_text);
-      if (!payload.ok() && request.has_fill && !fill.consumed &&
-          payload.status().code() == StatusCode::kNotFound) {
-        // NotFound with the fill unconsumed: this request was
-        // deduplicated behind a fill-less caller's flight and shared
-        // its miss without our fill ever being offered. The flight has
-        // closed, so one retry runs the executor with the fill staged.
-        // (Gated on NotFound so a daemon with a real warehouse executor
-        // never re-runs a query that failed for other reasons.)
-        payload = cache_->Execute(request.query_text);
-      }
-      t_fill = nullptr;
-      if (payload.ok()) {
-        response.cache_hit = request.has_fill ? !fill.consumed : cached_before;
-        // Copy, not move: a move-assign would hand the scratch's pooled
-        // buffer to the temporary, and the next GET hit would regrow it.
-        response.payload.assign(*payload);
-      } else {
-        response.code = payload.status().code();
-        response.message = payload.status().message();
+      // A miss-fill facade takes the client's fill as the miss's result;
+      // a facade with a real executor ignores it. The answer lands in
+      // the response scratch (pooled capacity, no intermediate copy).
+      const Watchman::Fill fill{request.fill_payload, request.fill_cost,
+                                request.fill_relations};
+      const Status status = cache_->ExecuteInto(
+          request.query_text, miss_fill_ && request.has_fill ? &fill : nullptr,
+          &response.payload, &response.cache_hit);
+      if (!status.ok()) {
+        response.code = status.code();
+        response.message = status.message();
+        response.payload.clear();
       }
       break;
     }

@@ -10,8 +10,9 @@
 //    another cooldown.
 //
 // Callers supply the clock as milliseconds (any monotonic origin), so
-// tests drive time explicitly. A failure_threshold of 0 disables the
-// breaker entirely (Allow always true, failures never trip).
+// tests drive time explicitly; closed() lets a hot path skip the clock
+// read while the breaker is closed. A failure_threshold of 0 disables
+// the breaker entirely (Allow always true, failures never trip).
 
 #ifndef WATCHMAN_UTIL_CIRCUIT_BREAKER_H_
 #define WATCHMAN_UTIL_CIRCUIT_BREAKER_H_
@@ -36,6 +37,13 @@ class CircuitBreaker {
   explicit CircuitBreaker(Options options) : options_(options) {}
 
   bool enabled() const { return options_.failure_threshold > 0; }
+
+  /// True when the breaker is disabled or closed, so Allow() would admit
+  /// the call at any time: a caller checks this first and reads its
+  /// clock only when it is false.
+  bool closed() const {
+    return !enabled() || open_until_ms_.load(std::memory_order_acquire) == 0;
+  }
 
   /// True when the protected call may proceed. In the half-open state
   /// only one caller wins the probe slot; the rest are rejected until

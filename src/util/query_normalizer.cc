@@ -1,10 +1,11 @@
 #include "util/query_normalizer.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstddef>
 #include <string>
 #include <vector>
+
+#include "util/string_util.h"
 
 namespace watchman {
 
@@ -25,8 +26,7 @@ std::vector<std::string> Tokenize(std::string_view text) {
     }
   };
   for (char raw : text) {
-    const char c =
-        static_cast<char>(std::tolower(static_cast<unsigned char>(raw)));
+    const char c = AsciiToLower(raw);
     switch (c) {
       case ' ':
       case '\t':

@@ -76,14 +76,19 @@ class SingleFlight {
 
   void Finish(const Key& key, const std::shared_ptr<Call>& call,
               const Value& value) {
+    // Retire the flight before releasing its waiters: a waiter that
+    // calls Do() again for this key must start a new flight, never
+    // rejoin this finished one (and return its value again at once).
+    {
+      MutexLock lock(mu_);
+      calls_.erase(key);
+    }
     {
       MutexLock lock(call->mu);
       call->value = value;
       call->done = true;
     }
     call->cv.NotifyAll();
-    MutexLock lock(mu_);
-    calls_.erase(key);
   }
 
   mutable Mutex mu_;

@@ -1,6 +1,5 @@
 #include "util/string_util.h"
 
-#include <cctype>
 #include <cstdio>
 
 namespace watchman {
@@ -28,19 +27,22 @@ constexpr char kSeparator = '\x1f';
 }  // namespace
 
 void CompressQueryIdInto(std::string_view query_text, std::string* out) {
-  out->clear();
-  out->reserve(query_text.size());
+  // The ID is never longer than the text (a separator replaces at least
+  // one delimiter), so size the buffer once and write through a pointer.
+  out->resize(query_text.size());
+  char* const begin = out->data();
+  char* end = begin;
   bool in_delim_run = false;
-  for (char c : query_text) {
+  for (const char c : query_text) {
     if (IsDelimiter(c)) {
       in_delim_run = true;
       continue;
     }
-    if (in_delim_run && !out->empty()) out->push_back(kSeparator);
+    if (in_delim_run && end != begin) *end++ = kSeparator;
     in_delim_run = false;
-    out->push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+    *end++ = AsciiToLower(c);
   }
+  out->resize(static_cast<size_t>(end - begin));
 }
 
 std::string CompressQueryId(std::string_view query_text) {
@@ -107,9 +109,7 @@ StatusOr<uint64_t> ParseByteSize(const std::string& text) {
     return Status::InvalidArgument("bad byte size: " + text);
   }
   std::string suffix = text.substr(pos);
-  for (char& c : suffix) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
+  for (char& c : suffix) c = AsciiToLower(c);
   int shift = 0;
   if (suffix.empty() || suffix == "b") {
     shift = 0;

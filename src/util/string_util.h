@@ -14,10 +14,18 @@
 
 namespace watchman {
 
+/// Lower-cases ASCII `A`-`Z` and returns every other byte unchanged,
+/// bytes >= 0x80 included: the C locale's tolower, without the locale
+/// lookup libc pays per call.
+inline char AsciiToLower(char c) {
+  return static_cast<unsigned char>(c - 'A') < 26 ? static_cast<char>(c + 32)
+                                                  : c;
+}
+
 /// Compresses a query string into a query ID: runs of SQL delimiters
 /// (whitespace, commas, parentheses, semicolons) collapse into a single
-/// US (0x1f) separator; letters are lower-cased. Two queries differing
-/// only in formatting map to the same ID.
+/// US (0x1f) separator; ASCII letters are lower-cased (AsciiToLower).
+/// Two queries differing only in formatting map to the same ID.
 std::string CompressQueryId(std::string_view query_text);
 
 /// CompressQueryId into a caller-owned buffer: `out` is cleared and

@@ -42,6 +42,11 @@ RequestScratch& Scratch() {
 /// buffer, so answering a miss allocates nothing.
 constexpr const char* kNotCachedMessage = "not cached";
 
+/// An execution's result, viewed as the retrieved set it offers.
+Watchman::Fill SetOf(const Watchman::ExecutionResult& result) {
+  return {result.payload, result.cost, result.relations};
+}
+
 }  // namespace
 
 Watchman::Watchman(Options options, Executor executor)
@@ -85,7 +90,7 @@ Timestamp Watchman::NowTick() {
 }
 
 StatusOr<Watchman::ExecutionResult> Watchman::RunExecutor(
-    const std::string& query_text) {
+    const std::string& query_text, bool run) {
   StatusOr<ExecutionResult> result = ExecutionResult{};
   const Status injected = FaultPoint(Fault::kExecFail, "warehouse executor");
   if (!injected.ok()) {
@@ -96,7 +101,7 @@ StatusOr<Watchman::ExecutionResult> Watchman::RunExecutor(
       if (fi.enabled() && fi.Trip(Fault::kExecThrow)) {
         throw std::runtime_error("injected executor exception");
       }
-      result = executor_(query_text);
+      if (run) result = executor_(query_text);
     } catch (const std::exception& e) {
       result = Status::Internal(std::string("executor threw: ") + e.what());
     } catch (...) {
@@ -144,33 +149,13 @@ void Watchman::RegisterDependencies(
   }
 }
 
-StatusOr<std::string> Watchman::GetPayload(const std::string& query_id) {
-  if (!store_breaker_.Allow(SteadyNowMs())) {
-    return Status::IOError("payload store circuit open");
-  }
-  Status st = FaultPoint(Fault::kStoreGetFail, "payload store Get");
-  StatusOr<std::string> result = std::string();
-  if (st.ok()) {
-    // Reader lock: payload fetches (the hit path) proceed concurrently.
-    SharedReaderLock lock(payload_mu_);
-    result = payloads_->Get(query_id);
-    st = result.status();
-  } else {
-    result = st;
-  }
-  // NotFound is a normal miss, not a store failure.
-  if (st.ok() || st.code() == StatusCode::kNotFound) {
-    store_breaker_.RecordSuccess();
-  } else {
-    store_breaker_.RecordFailure(SteadyNowMs());
-    metrics_.store_failures.Inc();
-  }
-  return result;
+bool Watchman::StoreAllowed() {
+  return store_breaker_.closed() || store_breaker_.Allow(SteadyNowMs());
 }
 
 Status Watchman::GetPayloadInto(const std::string& query_id,
                                 std::string* out) {
-  if (!store_breaker_.Allow(SteadyNowMs())) {
+  if (!StoreAllowed()) {
     return Status::IOError("payload store circuit open");
   }
   Status st = FaultPoint(Fault::kStoreGetFail, "payload store Get");
@@ -178,6 +163,7 @@ Status Watchman::GetPayloadInto(const std::string& query_id,
     SharedReaderLock lock(payload_mu_);
     st = payloads_->GetInto(query_id, out);
   }
+  // NotFound is a normal miss, not a store failure.
   if (st.ok() || st.code() == StatusCode::kNotFound) {
     store_breaker_.RecordSuccess();
   } else {
@@ -194,7 +180,7 @@ bool Watchman::HasPayload(const std::string& query_id) const {
 
 Status Watchman::PutPayload(const std::string& query_id,
                             const std::string& payload) {
-  if (!store_breaker_.Allow(SteadyNowMs())) {
+  if (!StoreAllowed()) {
     return Status::IOError("payload store circuit open");
   }
   Status st = FaultPoint(Fault::kStorePutFail, "payload store Put");
@@ -237,17 +223,19 @@ bool Watchman::InvalidatedSince(const std::string& query_id,
   return false;
 }
 
-void Watchman::OfferToCache(const QueryDescriptor& desc,
-                            const ExecutionResult& result,
+void Watchman::OfferToCache(const std::string& query_id,
+                            QueryDescriptor* desc_out, const Fill& set,
                             uint64_t epoch_at_start, Timestamp now,
                             bool record_reference) {
+  QueryDescriptor& desc = *desc_out;
+  desc.result_bytes = set.payload.size();
+  desc.cost = set.cost;
   if (desc.result_bytes == 0) {
     // Empty retrieved sets are returned but never cached (the cache
     // rejects zero-size sets under every policy).
     if (record_reference) cache_->Reference(desc, now);
     return;
   }
-  const std::string query_id(desc.query_id());
   bool newly_admitted = false;
   if (record_reference) {
     newly_admitted = !cache_->Reference(desc, now);
@@ -259,7 +247,7 @@ void Watchman::OfferToCache(const QueryDescriptor& desc,
     return;
   }
   Status stored = FaultPoint(Fault::kAllocFail, "cache entry allocation");
-  if (stored.ok()) stored = PutPayload(query_id, result.payload);
+  if (stored.ok()) stored = PutPayload(query_id, set.payload);
   if (!stored.ok()) {
     // Storage/allocation failure: keep the cache metadata consistent by
     // dropping the entry; the caller still serves the fresh result
@@ -268,13 +256,13 @@ void Watchman::OfferToCache(const QueryDescriptor& desc,
     metrics_.degraded_passthrough.Inc();
     return;
   }
-  RegisterDependencies(query_id, result.relations);
+  RegisterDependencies(query_id, set.relations);
   // Coherence check AFTER the dependencies are registered: an
   // invalidation that lands before this point is detected here, and one
   // that lands after will find the entry in dependents_ (or the cache
   // itself, for per-query invalidation) and erase it -- no window in
   // between.
-  if (InvalidatedSince(query_id, result.relations, epoch_at_start)) {
+  if (InvalidatedSince(query_id, set.relations, epoch_at_start)) {
     // A relation this execution read was invalidated while the query
     // ran outside the locks: the result reflects pre-update data, so it
     // must not stay cached past the invalidation.
@@ -298,6 +286,34 @@ void Watchman::OfferToCache(const QueryDescriptor& desc,
 }
 
 StatusOr<std::string> Watchman::Execute(const std::string& query_text) {
+  std::string payload;
+  bool cache_hit = false;
+  const Status status =
+      ExecuteInto(query_text, /*fill=*/nullptr, &payload, &cache_hit);
+  if (!status.ok()) return status;
+  return payload;
+}
+
+Status Watchman::ExecuteInto(const std::string& query_text, const Fill* fill,
+                             std::string* out, bool* cache_hit) {
+  bool referenced = false;
+  bool again = false;
+  Status status =
+      ExecuteOnce(query_text, fill, out, cache_hit, &referenced, &again);
+  // Each further round follows another caller's flight for this query
+  // that completed in between, so the loop waits on progress, never
+  // spins.
+  while (again) {
+    status = ExecuteOnce(query_text, fill, out, cache_hit, &referenced, &again);
+  }
+  return status;
+}
+
+Status Watchman::ExecuteOnce(const std::string& query_text, const Fill* fill,
+                             std::string* out, bool* cache_hit,
+                             bool* referenced, bool* again) {
+  *cache_hit = false;
+  *again = false;
   // Key derivation in per-thread scratch: one compression pass, one
   // signature, no allocation at steady state.
   RequestScratch& scratch = Scratch();
@@ -311,15 +327,18 @@ StatusOr<std::string> Watchman::Execute(const std::string& query_text) {
   const Timestamp now = NowTick();
 
   // Fast path: the reference is recorded under the shard lock only when
-  // the set is cached (the stored descriptor supplies size and cost).
-  bool already_referenced = false;
-  if (cache_->TryReferenceCached(scratch.probe, now)) {
-    StatusOr<std::string> payload = GetPayload(scratch.id);
-    if (payload.ok()) return payload;
+  // the set is cached (the stored descriptor supplies size and cost). A
+  // later round of a call whose reference already counted only looks.
+  if (*referenced ? cache_->Contains(scratch.probe.key)
+                  : cache_->TryReferenceCached(scratch.probe, now)) {
+    *referenced = true;
+    if (GetPayloadInto(scratch.id, out).ok()) {
+      *cache_hit = true;
+      return Status::OK();
+    }
     // The payload vanished between the reference and the fetch
     // (concurrent eviction, or an undone racing publish); execute and
     // re-publish below. This call's reference is already counted.
-    already_referenced = true;
   }
 
   // Miss path: copy out of the scratch before the executor runs -- it
@@ -328,11 +347,11 @@ StatusOr<std::string> Watchman::Execute(const std::string& query_text) {
   QueryDescriptor probe;
   probe.key = scratch.probe.key;
 
-  // Miss: execute the query with no lock held; concurrent misses on the
-  // same query ID share one warehouse execution. The leader offers the
-  // set to the cache and publishes the payload before the flight
-  // closes, so late arrivals find it on the fast path instead of
-  // re-executing. The in-flight guard keeps the invalidation-epoch
+  // Miss: execute the query (or take the caller's fill) with no lock
+  // held; concurrent misses on the same query ID share one flight. The
+  // leader offers the set to the cache and publishes the payload before
+  // the flight closes, so late arrivals find it on the fast path instead
+  // of re-executing. The in-flight guard keeps the invalidation-epoch
   // records alive until every overlapping offer has checked them.
   inflight_offers_.fetch_add(1, std::memory_order_acq_rel);
   bool leader = false;
@@ -340,53 +359,55 @@ StatusOr<std::string> Watchman::Execute(const std::string& query_text) {
   try {
     flight = flights_.Do(
         query_id,
-        [this, &query_text, &probe, now, already_referenced] {
-          auto out = std::make_shared<FlightOutcome>();
-          out->epoch_at_start =
+        [this, &query_text, fill, &query_id, &probe, now, referenced] {
+          auto outcome = std::make_shared<FlightOutcome>();
+          outcome->epoch_at_start =
               invalidation_epoch_.load(std::memory_order_acquire);
-          out->result = RunExecutor(query_text);
-          if (out->result.ok()) {
-            QueryDescriptor desc = probe;
-            desc.result_bytes = out->result->payload.size();
-            desc.cost = out->result->cost;
-            OfferToCache(desc, *out->result, out->epoch_at_start, now,
-                         /*record_reference=*/!already_referenced);
+          outcome->filled = fill != nullptr;
+          outcome->result = RunExecutor(query_text, !outcome->filled);
+          if (outcome->result.ok()) {
+            OfferToCache(query_id, &probe,
+                         fill != nullptr ? *fill : SetOf(*outcome->result),
+                         outcome->epoch_at_start, now,
+                         /*record_reference=*/!*referenced);
           }
-          return std::shared_ptr<const FlightOutcome>(std::move(out));
+          return std::shared_ptr<const FlightOutcome>(std::move(outcome));
         },
         &leader);
   } catch (...) {
     ReleaseInflightOffer();
     throw;
   }
-  if (flight != nullptr && flight->result.ok() && !leader) {
+  const bool succeeded = flight != nullptr && flight->result.ok();
+  if (succeeded && !leader) {
     // A deduplicated follower still counts as one reference: normally a
     // hit on the leader's freshly admitted set -- exactly the cost the
     // shared execution saved -- and a fresh admission decision when the
     // leader's offer was rejected. A caller whose fast-path reference
-    // already counted only repairs the payload.
+    // already counted only repairs the payload. Behind a fill-led flight
+    // the follower goes around again instead (below), where the fast
+    // path or its own flight records that reference.
     if (options_.metrics) metrics_.dedup_hits.Inc();
-    QueryDescriptor desc = probe;
-    desc.result_bytes = flight->result->payload.size();
-    desc.cost = flight->result->cost;
-    OfferToCache(desc, *flight->result, flight->epoch_at_start, now,
-                 /*record_reference=*/!already_referenced);
+    if (!flight->filled) {
+      OfferToCache(query_id, &probe, SetOf(*flight->result),
+                   flight->epoch_at_start, now,
+                   /*record_reference=*/!*referenced);
+    }
   }
-  if (options_.metrics && leader && flight != nullptr &&
-      flight->result.ok()) {
+  if (options_.metrics && leader && succeeded) {
     // The admission outcome of this execution: what the policy kept vs
     // declined, by cost and by the paper's profit (cost/size) in ppm.
     metrics_.executions.Inc();
-    const uint64_t cost = flight->result->cost;
-    const uint64_t bytes = flight->result->payload.size();
+    const Fill set = fill != nullptr ? *fill : SetOf(*flight->result);
+    const uint64_t bytes = set.payload.size();
     const bool admitted = bytes > 0 && cache_->Contains(probe.key);
     const uint64_t profit_ppm =
-        bytes == 0 ? 0 : cost * 1000000ull / bytes;
+        bytes == 0 ? 0 : set.cost * 1000000ull / bytes;
     if (admitted) {
-      metrics_.admitted_cost.Record(cost);
+      metrics_.admitted_cost.Record(set.cost);
       metrics_.admitted_profit_ppm.Record(profit_ppm);
     } else {
-      metrics_.rejected_cost.Record(cost);
+      metrics_.rejected_cost.Record(set.cost);
       metrics_.rejected_profit_ppm.Record(profit_ppm);
     }
   }
@@ -397,8 +418,29 @@ StatusOr<std::string> Watchman::Execute(const std::string& query_text) {
     // flight was released without a result.
     return Status::Internal("query execution failed for a waiting caller");
   }
-  if (!flight->result.ok()) return flight->result.status();
-  return flight->result->payload;
+  if (leader) {
+    if (!succeeded) return flight->result.status();
+    out->assign(fill != nullptr ? fill->payload : flight->result->payload);
+    return Status::OK();
+  }
+  if (succeeded && !flight->filled) {
+    out->assign(flight->result->payload);
+    *cache_hit = true;  // another caller's execution answered
+    return Status::OK();
+  }
+  // The flight holds no set for this caller: a fill-led flight's bytes
+  // stayed with its own caller, and a fill-less flight answered NotFound
+  // where this caller's fill would have answered. The flight has closed,
+  // so another round finds the leader's set cached or leads its own.
+  // (Gated on NotFound so a real warehouse executor's other failures are
+  // never re-run.)
+  if (succeeded ||
+      (fill != nullptr &&
+       flight->result.status().code() == StatusCode::kNotFound)) {
+    *again = true;
+    return Status::OK();
+  }
+  return flight->result.status();
 }
 
 void Watchman::ReleaseInflightOffer() {
@@ -415,23 +457,9 @@ void Watchman::ReleaseInflightOffer() {
 }
 
 StatusOr<std::string> Watchman::GetCached(const std::string& query_text) {
-  RequestScratch& scratch = Scratch();
-  MakeQueryIdInto(query_text, &scratch.id);
-  if (scratch.id.empty()) {
-    return Status::InvalidArgument("query text contains no tokens");
-  }
-  scratch.probe.key.Assign(scratch.id);
-  scratch.probe.result_bytes = 0;
-  scratch.probe.cost = 0;
-  if (!cache_->TryReferenceCached(scratch.probe, NowTick())) {
-    return Status::NotFound(kNotCachedMessage);
-  }
-  StatusOr<std::string> payload = GetPayload(scratch.id);
-  if (!payload.ok()) {
-    // Evicted between the reference and the fetch; report the miss (the
-    // recorded reference stands, matching a hit that raced an eviction).
-    return Status::NotFound("payload evicted concurrently: " + scratch.id);
-  }
+  std::string payload;
+  const Status status = GetCachedInto(query_text, &payload);
+  if (!status.ok()) return status;
   return payload;
 }
 

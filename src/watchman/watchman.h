@@ -164,6 +164,30 @@ class Watchman {
   /// query share one execution.
   StatusOr<std::string> Execute(const std::string& query_text);
 
+  /// A retrieved set the caller computed itself for a miss (the
+  /// daemon's miss-fill). It views the caller's strings, which must stay
+  /// valid for the call.
+  struct Fill {
+    const std::string& payload;
+    uint64_t cost;
+    const std::vector<std::string>& relations;
+  };
+
+  /// Execute() into a caller-owned buffer, reusing its capacity, with an
+  /// optional fill. On a miss a non-null `fill` stands in for the
+  /// executor: its bytes are offered to the cache (admission,
+  /// single-flight and coherence epochs as for an execution) and copied
+  /// into `out`, nowhere else. A hit answers the cached set and ignores
+  /// the fill. `*cache_hit` is true when the answer is the cached set or
+  /// another caller's execution, i.e. nothing ran or was filled for this
+  /// call. A caller deduplicated behind a flight that holds no set for
+  /// it (a fill-led flight keeps its bytes with its own caller; a
+  /// fill-less flight the executor answered NotFound could not use this
+  /// caller's fill) goes around again, so its fill still lands. After an
+  /// error status `*out` is unspecified.
+  Status ExecuteInto(const std::string& query_text, const Fill* fill,
+                     std::string* out, bool* cache_hit);
+
   /// Alias of Execute() (the paper-era name).
   StatusOr<std::string> Query(const std::string& query_text) {
     return Execute(query_text);
@@ -237,12 +261,24 @@ class Watchman {
   struct FlightOutcome {
     StatusOr<ExecutionResult> result = Status::Internal("not executed");
     uint64_t epoch_at_start = 0;
+    /// The leader offered its caller's fill: `result` is OK but holds no
+    /// payload, the bytes stayed with that caller.
+    bool filled = false;
   };
 
   Timestamp NowTick();
+  /// One round of ExecuteInto(); sets `*again` when this caller was
+  /// deduplicated behind a flight that holds no set for it. `*referenced`
+  /// carries across rounds whether this call's reference is counted.
+  Status ExecuteOnce(const std::string& query_text, const Fill* fill,
+                     std::string* out, bool* cache_hit, bool* referenced,
+                     bool* again);
   /// Runs the warehouse executor with fault-point and exception
-  /// containment: a throwing executor becomes an Internal status.
-  StatusOr<ExecutionResult> RunExecutor(const std::string& query_text);
+  /// containment: a throwing executor becomes an Internal status. With
+  /// `run` false (a fill stands in for the executor) only the executor's
+  /// fault sites fire, and an OK result holds nothing.
+  StatusOr<ExecutionResult> RunExecutor(const std::string& query_text,
+                                        bool run);
   std::string MakeQueryId(const std::string& query_text) const;
   /// MakeQueryId into a caller-owned buffer (per-thread scratch reuse).
   void MakeQueryIdInto(const std::string& query_text, std::string* out) const;
@@ -250,14 +286,16 @@ class Watchman {
   void RegisterDependencies(const std::string& query_id,
                             const std::vector<std::string>& relations);
 
-  /// Records one reference for `desc` (unless this call's reference was
-  /// already counted on the fast path) and, when the set is cached,
-  /// publishes the payload and coherence bookkeeping. Drops the entry
-  /// again if any of its relations was invalidated after
-  /// `epoch_at_start` (the execution read pre-update data).
-  void OfferToCache(const QueryDescriptor& desc,
-                    const ExecutionResult& result, uint64_t epoch_at_start,
-                    Timestamp now, bool record_reference = true);
+  /// Records one reference for `query_id`'s retrieved set `set` (unless
+  /// this call's reference was already counted on the fast path) and,
+  /// when the set is cached, publishes the payload and coherence
+  /// bookkeeping. `desc` carries the key; its size and cost are set from
+  /// `set`. Drops the entry again if any of its relations was
+  /// invalidated after `epoch_at_start` (the execution read pre-update
+  /// data).
+  void OfferToCache(const std::string& query_id, QueryDescriptor* desc,
+                    const Fill& set, uint64_t epoch_at_start, Timestamp now,
+                    bool record_reference);
 
   /// True if the query itself or any of `relations` was invalidated
   /// after `epoch`.
@@ -270,7 +308,9 @@ class Watchman {
   /// execution can reference them anymore).
   void ReleaseInflightOffer();
 
-  StatusOr<std::string> GetPayload(const std::string& query_id);
+  /// The store breaker admits a store call; reads the clock only when
+  /// the breaker is not closed.
+  bool StoreAllowed();
   Status GetPayloadInto(const std::string& query_id, std::string* out);
   bool HasPayload(const std::string& query_id) const;
   Status PutPayload(const std::string& query_id, const std::string& payload);

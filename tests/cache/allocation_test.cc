@@ -28,7 +28,7 @@ namespace watchman {
 namespace {
 
 using testsupport::CountingScope;
-using testsupport::t_counting;
+using testsupport::SetThreadCounting;
 
 std::vector<QueryDescriptor> MakeWorkingSet(size_t n) {
   std::vector<QueryDescriptor> out;
@@ -73,13 +73,13 @@ TEST_P(AllocationFreeHitTest, ShardedHitPathDoesNotAllocate) {
     for (const auto& d : descriptors) {
       // Reference() and the hit-only probe must both be allocation-free.
       if (!cache->TryReferenceCached(d, now += 1000)) {
-        t_counting = false;
+        SetThreadCounting(false);
         FAIL() << "unexpected miss on the hit path";
       }
     }
   }
   const uint64_t allocations = scope.count();
-  t_counting = false;
+  SetThreadCounting(false);
   EXPECT_EQ(allocations, 0u)
       << "sharded hit path allocated " << allocations << " times over "
       << 20 * kWorkingSet << " hits";
@@ -132,12 +132,12 @@ TEST(AllocationBoundedMissTest, AdmissionPathAllocationsIndependentOfCandidates)
       if (cache->Reference(QueryDescriptor::Make(
                                "junk\x1f" + std::to_string(i), junk_bytes, 1),
                            now += 1000)) {
-        t_counting = false;
+        SetThreadCounting(false);
         ADD_FAILURE() << "junk unexpectedly hit";
       }
     }
     const uint64_t allocations = scope.count();
-    t_counting = false;
+    SetThreadCounting(false);
     EXPECT_EQ(cache->stats().admission_rejections,
               static_cast<uint64_t>(2 * kMisses));
     return static_cast<double>(allocations) / kMisses;

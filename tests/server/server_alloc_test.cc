@@ -4,7 +4,7 @@
 // (minus the client thread driving traffic) and the measured window
 // must record zero allocations on the server's IO thread and workers.
 //
-// Two paths are measured per backend:
+// Three paths are measured per backend:
 //  * the inline fast path -- a blocking client's PING, GET-hit and
 //    GET-miss round trips are answered on the IO thread, reusing the
 //    connection buffers and the IO-thread request/response scratch; a
@@ -12,10 +12,13 @@
 //    no more than a hit;
 //  * the worker path (inline dispatch disabled) -- every frame cycles
 //    a pooled body through the FrameQueue ring and a worker's scratch,
-//    exercising FramePool recycling end to end.
+//    exercising FramePool recycling end to end;
+//  * the shed path -- a peer over its request quota is answered
+//    kShedRetryLater from the IO thread's response scratch, so an
+//    overloaded IO thread does not allocate per shed frame.
 //
-// EXECUTE itself is not measured: its facade API returns the payload
-// by value (a per-request string), so it is not allocation-free by
+// EXECUTE itself is not measured: an admitted fill is copied into the
+// payload store, which allocates, so it is not allocation-free by
 // contract on either path. A miss-fill EXECUTE runs inline too, though,
 // on the same IO-thread scratch, so the inline test also checks that
 // one does not cost the GET hits after it their pooled capacity.
@@ -42,7 +45,8 @@ class ServerAllocTest : public testing::TestWithParam<ServerBackend> {
     }
   }
 
-  void StartServer(bool inline_dispatch) {
+  void StartServer(bool inline_dispatch,
+                   const AdmissionOptions& admission = AdmissionOptions()) {
     Watchman::Options options;
     options.capacity_bytes = 8 << 20;
     cache_ = std::make_unique<Watchman>(std::move(options),
@@ -51,6 +55,7 @@ class ServerAllocTest : public testing::TestWithParam<ServerBackend> {
     server_options.port = 0;
     server_options.backend = GetParam();
     server_options.inline_dispatch = inline_dispatch;
+    server_options.admission = admission;
     // One worker: the warmup passes heat that worker's decode/encode
     // scratch, and the measured window reuses it deterministically.
     server_options.num_workers = 1;
@@ -60,6 +65,8 @@ class ServerAllocTest : public testing::TestWithParam<ServerBackend> {
 
     WatchmanClient::Options client_options;
     client_options.port = server_->port();
+    // A shed is the answer under test, not something to wait out.
+    client_options.shed_retries = 0;
     auto client = WatchmanClient::Connect(client_options);
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     client_ = std::move(client).value();
@@ -150,6 +157,33 @@ TEST_P(ServerAllocTest, WorkerPathDoesNotAllocateOncePoolsAreWarm) {
   // ...allocation-free.
   EXPECT_EQ(allocations, 0u)
       << "worker path allocated " << allocations << " times over 200 frames";
+}
+
+TEST_P(ServerAllocTest, ShedsDoNotAllocate) {
+  // One token, refilled every 100 s: the setup's EXECUTE spends it and
+  // every later request is over the peer's quota.
+  AdmissionOptions admission;
+  admission.peer_requests_per_sec = 0.01;
+  admission.peer_burst = 1;
+  StartServer(/*inline_dispatch=*/true, admission);
+  auto shed_pings = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(client_->Ping().code(), StatusCode::kShedRetryLater);
+    }
+  };
+  shed_pings(100);  // warm the response scratch and the out-buffer
+  const uint64_t sheds_before = server_->sheds(ShedReason::kPeerQuota);
+
+  testsupport::GlobalCountingScope scope;
+  shed_pings(100);
+  const uint64_t allocations = scope.count();
+  testsupport::SetGlobalCounting(false);
+
+  EXPECT_EQ(server_->sheds(ShedReason::kPeerQuota), sheds_before + 100);
+  // "shed: peer_quota" outgrows the small-string buffer, so a message
+  // built per frame would allocate on every one of them.
+  EXPECT_EQ(allocations, 0u)
+      << "shed path allocated " << allocations << " times over 100 frames";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -10,9 +10,8 @@
 namespace watchman {
 namespace testsupport {
 
-thread_local bool t_counting = false;
-
 namespace {
+thread_local bool t_counting = false;
 std::atomic<uint64_t> g_allocations{0};
 std::atomic<bool> g_global_counting{false};
 thread_local bool t_excluded = false;
@@ -34,6 +33,8 @@ void ResetAllocationCount() {
 void SetGlobalCounting(bool on) {
   g_global_counting.store(on, std::memory_order_relaxed);
 }
+
+void SetThreadCounting(bool on) { t_counting = on; }
 
 void SetThreadExcluded(bool excluded) { t_excluded = excluded; }
 

@@ -23,10 +23,13 @@
 namespace watchman {
 namespace testsupport {
 
-/// Thread-local arm flag (CountingScope mode). Exposed so a test can
-/// disarm before running FAIL()/ADD_FAILURE() machinery that
-/// legitimately allocates.
-extern thread_local bool t_counting;
+/// Arms or disarms counting on the calling thread (CountingScope mode).
+/// A test disarms before running FAIL()/ADD_FAILURE() machinery that
+/// legitimately allocates. The flag itself stays inside
+/// counting_alloc.cc: UBSan reported stores to it, made from other
+/// translation units through an extern thread_local declaration, as
+/// stores to a null pointer.
+void SetThreadCounting(bool on);
 
 /// Allocations recorded since the last reset, across all armed threads.
 uint64_t AllocationCount();
@@ -41,9 +44,9 @@ void SetThreadExcluded(bool excluded);
 struct CountingScope {
   CountingScope() {
     ResetAllocationCount();
-    t_counting = true;
+    SetThreadCounting(true);
   }
-  ~CountingScope() { t_counting = false; }
+  ~CountingScope() { SetThreadCounting(false); }
   uint64_t count() const { return AllocationCount(); }
 };
 

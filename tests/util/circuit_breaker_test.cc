@@ -16,6 +16,7 @@ TEST(CircuitBreakerTest, StartsClosedAndAllows) {
   CircuitBreaker cb(Opts(3, 100));
   EXPECT_TRUE(cb.enabled());
   EXPECT_EQ(cb.state(0), CircuitBreaker::State::kClosed);
+  EXPECT_TRUE(cb.closed());
   EXPECT_TRUE(cb.Allow(0));
   EXPECT_EQ(cb.trips(), 0u);
 }
@@ -26,8 +27,10 @@ TEST(CircuitBreakerTest, TripsAtThreshold) {
   cb.RecordFailure(10);
   EXPECT_EQ(cb.state(10), CircuitBreaker::State::kClosed);
   EXPECT_TRUE(cb.Allow(10));
+  EXPECT_TRUE(cb.closed());
   cb.RecordFailure(10);  // third consecutive failure trips it
   EXPECT_EQ(cb.state(10), CircuitBreaker::State::kOpen);
+  EXPECT_FALSE(cb.closed());
   EXPECT_FALSE(cb.Allow(10));
   EXPECT_EQ(cb.trips(), 1u);
   EXPECT_EQ(cb.rejected(), 1u);
@@ -51,6 +54,7 @@ TEST(CircuitBreakerTest, CooldownAdmitsSingleProbe) {
   EXPECT_FALSE(cb.Allow(50));
   EXPECT_EQ(cb.state(99), CircuitBreaker::State::kOpen);
   EXPECT_EQ(cb.state(100), CircuitBreaker::State::kHalfOpen);
+  EXPECT_FALSE(cb.closed());  // half-open: the caller must read its clock
   // First caller after the cooldown wins the probe slot ...
   EXPECT_TRUE(cb.Allow(100));
   // ... and everyone else is rejected until the probe reports back.
@@ -64,6 +68,7 @@ TEST(CircuitBreakerTest, ProbeSuccessCloses) {
   ASSERT_TRUE(cb.Allow(100));
   cb.RecordSuccess();
   EXPECT_EQ(cb.state(100), CircuitBreaker::State::kClosed);
+  EXPECT_TRUE(cb.closed());
   EXPECT_TRUE(cb.Allow(100));
   EXPECT_TRUE(cb.Allow(100));  // no probe gating once closed
   EXPECT_EQ(cb.trips(), 1u);
@@ -88,6 +93,7 @@ TEST(CircuitBreakerTest, ThresholdZeroDisables) {
   EXPECT_FALSE(cb.enabled());
   for (int i = 0; i < 10; ++i) cb.RecordFailure(0);
   EXPECT_EQ(cb.state(0), CircuitBreaker::State::kClosed);
+  EXPECT_TRUE(cb.closed());
   EXPECT_TRUE(cb.Allow(0));
   EXPECT_EQ(cb.trips(), 0u);
   EXPECT_EQ(cb.rejected(), 0u);

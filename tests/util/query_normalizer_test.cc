@@ -96,6 +96,22 @@ TEST(QueryNormalizerTest, Deterministic) {
   EXPECT_EQ(NormalizeQuery(q), NormalizeQuery(q));
 }
 
+TEST(QueryNormalizerTest, FoldsOnlyAsciiUppercaseForEveryByte) {
+  // The same byte mapping as CompressQueryId, pinned independently of
+  // the process locale: A-Z fold, every other non-delimiter byte
+  // (>= 0x80 included) passes through unchanged.
+  const std::string delimiters(" \t\n\r,;()");
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    if (delimiters.find(c) != std::string::npos) continue;
+    const std::string expected =
+        std::string("x") +
+        (c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c) + "y";
+    EXPECT_EQ(NormalizeQuery(std::string("x") + c + "y"), expected)
+        << "byte " << b;
+  }
+}
+
 TEST(QueryNormalizerTest, EmptyAndWhitespaceOnly) {
   EXPECT_EQ(NormalizeQuery(""), "");
   EXPECT_EQ(NormalizeQuery("   \t\n"), "");

@@ -53,6 +53,29 @@ TEST(CompressQueryIdTest, IntoVariantMatchesAndReusesBuffer) {
   EXPECT_EQ(scratch.capacity(), capacity);
 }
 
+TEST(CompressQueryIdTest, FoldsOnlyAsciiUppercaseForEveryByte) {
+  // Pins the C-locale mapping byte by byte, independent of the process
+  // locale: A-Z fold to a-z, every other non-delimiter byte (>= 0x80
+  // included) passes through, and a delimiter becomes one separator.
+  const std::string delimiters(" \t\n\r,();");
+  std::string scratch;
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const std::string text = std::string("x") + c + "y";
+    std::string expected;
+    if (delimiters.find(c) != std::string::npos) {
+      expected = "x\x1fy";
+    } else {
+      expected = std::string("x") +
+                 (c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c) +
+                 "y";
+    }
+    CompressQueryIdInto(text, &scratch);
+    EXPECT_EQ(scratch, expected) << "byte " << b;
+    EXPECT_EQ(CompressQueryId(text), expected) << "byte " << b;
+  }
+}
+
 TEST(CompressQueryIdTest, DistinctQueriesStayDistinct) {
   EXPECT_NE(CompressQueryId("select a from t"),
             CompressQueryId("select b from t"));

@@ -8,7 +8,7 @@ Exits non-zero with a reason on any failure. Stdlib only.
 
 Usage:
   tools/check_metrics.py --port 9090 [--host 127.0.0.1]
-                         [--require-prefix watchman_]
+                         [--require-shed] [--expect-backend epoll]
 """
 
 import argparse
@@ -46,6 +46,18 @@ REQUIRED_FAMILIES = (
 # scrape that cannot see the shed path means the counters are not wired.
 SHED_SERIES_PREFIX = 'watchman_server_shed_total{reason="'
 
+INFO_SERIES = "watchman_server_info{"
+
+
+def label_value(series, name):
+    """The value of label `name` in a sample's series, or None."""
+    labels = series[series.index("{") + 1:series.rindex("}")]
+    for pair in labels.split(","):
+        key, _, value = pair.partition("=")
+        if key == name:
+            return value.strip('"')
+    return None
+
 
 def fail(reason):
     print("check_metrics: FAIL: %s" % reason, file=sys.stderr)
@@ -61,6 +73,10 @@ def main():
         "--require-shed", action="store_true",
         help="additionally require a non-zero peer_quota shed counter "
              "(the caller must have driven a quota-exceeding client)")
+    parser.add_argument(
+        "--expect-backend", metavar="NAME",
+        help="require the backend label of watchman_server_info to be NAME "
+             "(the event loop that actually serves)")
     args = parser.parse_args()
     url = "http://%s:%d/metrics" % (args.host, args.port)
 
@@ -145,6 +161,14 @@ def main():
         if shed <= 0:
             fail("--require-shed: peer_quota shed counter is zero "
                  "(did the quota-exceeding client run?)")
+
+    if args.expect_backend is not None:
+        backends = [label_value(line.rpartition(" ")[0], "backend")
+                    for line in text.splitlines()
+                    if line.startswith(INFO_SERIES)]
+        if backends != [args.expect_backend]:
+            fail("--expect-backend %s: watchman_server_info reports %s" %
+                 (args.expect_backend, backends or "no backend"))
 
     print("check_metrics: OK (%d families, %d series)" %
           (len(declared), len(seen_samples)))

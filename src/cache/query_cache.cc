@@ -31,16 +31,17 @@ QueryCache::~QueryCache() {
   for (Entry* e : entries) arena_.Release(e);
 }
 
-bool QueryCache::Reference(const QueryDescriptor& d, Timestamp now) {
-  return ReferenceImpl(d, now, /*probe_only=*/false);
+bool QueryCache::Reference(const QueryDescriptor& d, Timestamp now,
+                           const RelationTags* tags) {
+  return ReferenceImpl(d, now, /*probe_only=*/false, tags);
 }
 
 bool QueryCache::TryReferenceCached(const QueryDescriptor& d, Timestamp now) {
-  return ReferenceImpl(d, now, /*probe_only=*/true);
+  return ReferenceImpl(d, now, /*probe_only=*/true, /*tags=*/nullptr);
 }
 
 bool QueryCache::ReferenceImpl(const QueryDescriptor& d, Timestamp now,
-                               bool probe_only) {
+                               bool probe_only, const RelationTags* tags) {
   Entry* entry = FindEntry(d.key);
   if (entry == nullptr && probe_only) return false;
   // Tolerate slightly out-of-order timestamps (concurrent callers race
@@ -66,7 +67,9 @@ bool QueryCache::ReferenceImpl(const QueryDescriptor& d, Timestamp now,
       // a phantom that hits forever).
       CountTooLargeRejection();
     } else {
+      offer_tags_ = tags;
       OnMiss(d, now);
+      offer_tags_ = nullptr;
     }
   }
   assert(CheckInvariants().ok());
@@ -84,6 +87,24 @@ bool QueryCache::Erase(const QueryKey& key) {
   return true;
 }
 
+bool QueryCache::MergeTags(const QueryKey& key, const RelationTags& tags) {
+  Entry* entry = FindEntry(key);
+  if (entry == nullptr) return false;
+  entry->tags.Merge(tags);
+  return true;
+}
+
+size_t QueryCache::EraseTagged(uint64_t tag) {
+  // Collect first: evicting reshuffles the index being walked.
+  index_.ForEach([this, tag](uint64_t, Entry* e) {
+    if (e->tags.Matches(tag)) tagged_scratch_.push_back(e);
+  });
+  for (Entry* e : tagged_scratch_) EvictEntry(e);
+  const size_t erased = tagged_scratch_.size();
+  tagged_scratch_.clear();
+  return erased;
+}
+
 QueryCache::Entry* QueryCache::FindEntry(const QueryKey& key) const {
   const std::string_view id = key.id();
   return index_.Find(key.signature().value, [id](const Entry* e) {
@@ -98,6 +119,7 @@ QueryCache::Entry* QueryCache::InsertEntry(const QueryDescriptor& d,
   assert(FindEntry(d.key) == nullptr);
   Entry* entry = arena_.New();
   entry->desc = d;
+  if (offer_tags_ != nullptr) entry->tags = *offer_tags_;
   if (history != nullptr) {
     entry->history = *history;
   } else {
@@ -156,6 +178,7 @@ std::vector<QueryCache::Entry*> QueryCache::CollectVictims(
 void QueryCache::Compact() {
   index_.Compact();
   arena_.Compact();
+  tagged_scratch_.shrink_to_fit();
   OnCompact();
   assert(CheckInvariants().ok());
 }

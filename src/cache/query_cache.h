@@ -33,6 +33,7 @@
 #include "cache/open_table.h"
 #include "cache/query_descriptor.h"
 #include "cache/ref_history.h"
+#include "cache/relation_tags.h"
 #include "cache/victim_index.h"
 #include "util/clock.h"
 #include "util/status.h"
@@ -95,8 +96,10 @@ class QueryCache {
   /// decides admission and eviction. Timestamps are expected to be
   /// non-decreasing across calls; a slightly older `now` (concurrent
   /// callers racing into different shards) is clamped forward rather
-  /// than rejected.
-  bool Reference(const QueryDescriptor& d, Timestamp now);
+  /// than rejected. An entry this reference admits carries `tags` (the
+  /// relations its set reported; none when null).
+  bool Reference(const QueryDescriptor& d, Timestamp now,
+                 const RelationTags* tags = nullptr);
 
   /// Hit-only probe: when `d` is cached, records the reference exactly
   /// like Reference() and returns true; otherwise leaves the cache and
@@ -120,6 +123,16 @@ class QueryCache {
   bool Erase(const QueryKey& key);
   /// Convenience overload that computes the signature.
   bool Erase(std::string_view query_id) { return Erase(QueryKey(query_id)); }
+
+  /// When `key` is cached, adds `tags` to its entry's tags and returns
+  /// true (a set republished into an entry it did not create).
+  bool MergeTags(const QueryKey& key, const RelationTags& tags);
+
+  /// Removes every cached set whose tags match `tag` (see
+  /// RelationTags::Matches), like Erase() on each; returns how many.
+  /// Walks the index into reused scratch, so a walk that removes
+  /// nothing allocates nothing.
+  size_t EraseTagged(uint64_t tag);
 
   uint64_t capacity_bytes() const { return capacity_; }
   uint64_t used_bytes() const { return used_; }
@@ -179,6 +192,9 @@ class QueryCache {
     /// Time the stored vkey was last evaluated (LazyOrderedVictimIndex
     /// staleness stamp; maintained by lazily-keyed policies only).
     Timestamp vkey_eval = 0;
+    /// The relations the cached set reported (cache coherence). Last,
+    /// so a hit touches no cache line of it.
+    RelationTags tags;
   };
 
   using VictimList = IntrusiveVictimList<Entry>;
@@ -219,7 +235,8 @@ class QueryCache {
   /// Inserts a new entry; there must be room (checked). If `history` is
   /// non-null its contents seed the entry's reference history (retained
   /// reference information); otherwise the entry starts with the single
-  /// reference at `now`. Invokes OnInsert.
+  /// reference at `now`. The entry carries the tags of the Reference()
+  /// in progress. Invokes OnInsert.
   Entry* InsertEntry(const QueryDescriptor& d, Timestamp now,
                      const ReferenceHistory* history = nullptr);
 
@@ -298,7 +315,7 @@ class QueryCache {
 
  private:
   bool ReferenceImpl(const QueryDescriptor& d, Timestamp now,
-                     bool probe_only);
+                     bool probe_only, const RelationTags* tags);
   Entry* FindEntry(const QueryKey& key) const;
 
   uint64_t capacity_;
@@ -313,6 +330,11 @@ class QueryCache {
   /// Slab/freelist storage of the entries the index points into.
   SlabArena<Entry> arena_;
   std::function<void(const QueryDescriptor&)> eviction_listener_;
+  /// Tags of the Reference() in progress, for InsertEntry (the policies
+  /// insert from OnMiss, whose signature carries no tags).
+  const RelationTags* offer_tags_ = nullptr;
+  /// EraseTagged's matches (reused; cleared after each walk).
+  std::vector<Entry*> tagged_scratch_;
 };
 
 }  // namespace watchman

@@ -35,6 +35,19 @@ bool ShardedQueryCache::Reference(const QueryDescriptor& d, Timestamp now) {
   return shard.cache->Reference(d, now);
 }
 
+ShardedQueryCache::OfferResult ShardedQueryCache::Offer(
+    const QueryDescriptor& d, Timestamp now, const RelationTags& tags,
+    bool record_reference) {
+  Shard& shard = *shards_[ShardIndexOf(d.signature())];
+  CountedLock lock(shard);
+  if (record_reference && !shard.cache->Reference(d, now, &tags)) {
+    return shard.cache->Contains(d.key) ? OfferResult::kAdmitted
+                                        : OfferResult::kNotCached;
+  }
+  return shard.cache->MergeTags(d.key, tags) ? OfferResult::kAlreadyCached
+                                             : OfferResult::kNotCached;
+}
+
 bool ShardedQueryCache::TryReferenceCached(const QueryDescriptor& d,
                                            Timestamp now) {
   Shard& shard = *shards_[ShardIndexOf(d.signature())];
@@ -52,6 +65,15 @@ bool ShardedQueryCache::Erase(const QueryKey& key) {
   Shard& shard = *shards_[ShardIndexOf(key.signature())];
   CountedLock lock(shard);
   return shard.cache->Erase(key);
+}
+
+size_t ShardedQueryCache::EraseTagged(uint64_t tag) {
+  size_t erased = 0;
+  for (auto& shard : shards_) {
+    CountedLock lock(*shard);
+    erased += shard->cache->EraseTagged(tag);
+  }
+  return erased;
 }
 
 ShardedQueryCache::LockStats ShardedQueryCache::lock_stats(

@@ -10,7 +10,8 @@
 //
 // Cache coherence works across shards: Erase() routes by the query
 // key's signature, so the Watchman facade can invalidate any cached set
-// no matter which shard holds it.
+// no matter which shard holds it, and EraseTagged() walks every shard
+// for the sets that carry a relation's tag (see relation_tags.h).
 //
 // Every operation routes on the request's precomputed signature -- the
 // QueryKey is hashed once when it is built, and shard choice reads the
@@ -59,6 +60,17 @@ class ShardedQueryCache {
   /// the owning shard's lock.
   bool Reference(const QueryDescriptor& d, Timestamp now);
 
+  /// Where a set offered for publishing stands after Offer().
+  enum class OfferResult { kNotCached, kAdmitted, kAlreadyCached };
+
+  /// One hold of the owning shard's lock for a set its caller is about
+  /// to publish. With `record_reference`, processes the reference like
+  /// Reference(), and an entry it admits carries `tags`; without, only
+  /// looks. A set that was already cached gets `tags` merged into its
+  /// own, so they cover whatever payload the caller publishes into it.
+  OfferResult Offer(const QueryDescriptor& d, Timestamp now,
+                    const RelationTags& tags, bool record_reference);
+
   /// Hit-only probe (see QueryCache::TryReferenceCached): records the
   /// reference and returns true when cached, touches nothing otherwise.
   bool TryReferenceCached(const QueryDescriptor& d, Timestamp now);
@@ -75,6 +87,11 @@ class ShardedQueryCache {
   bool Erase(const QueryKey& key);
   /// Convenience overload that computes the signature.
   bool Erase(std::string_view query_id) { return Erase(QueryKey(query_id)); }
+
+  /// Removes every cached set whose tags match `tag` (see
+  /// QueryCache::EraseTagged), one shard at a time under its lock.
+  /// Returns how many.
+  size_t EraseTagged(uint64_t tag);
 
   /// Registers the eviction listener on every shard. The callback runs
   /// under the evicting shard's lock; it must not call back into the

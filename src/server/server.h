@@ -88,12 +88,12 @@
 // EXECUTE op may carry the result the *client* computed for a miss.
 // Construct the facade with MissFillExecutor() and the server hands
 // that client-supplied fill to Watchman::ExecuteInto(), which offers it
-// in place of an execution (admission, single-flight, coherence epochs
-// included) and writes the answer into the response scratch; such an
-// EXECUTE only copies the fill, so it may run inline (above). An
-// embedder that does own a warehouse can instead construct the facade
-// with a real executor; fills are then ignored, EXECUTE executes
-// server-side, and EXECUTE always runs on a worker.
+// in place of an execution (admission, single-flight, relation tags and
+// the coherence check included) and writes the answer into the response
+// scratch; such an EXECUTE only copies the fill, so it may run inline
+// (above). An embedder that does own a warehouse can instead construct
+// the facade with a real executor; fills are then ignored, EXECUTE
+// executes server-side, and EXECUTE always runs on a worker.
 
 #ifndef WATCHMAN_SERVER_SERVER_H_
 #define WATCHMAN_SERVER_SERVER_H_

@@ -7,7 +7,6 @@
 #ifndef WATCHMAN_UTIL_SINGLE_FLIGHT_H_
 #define WATCHMAN_UTIL_SINGLE_FLIGHT_H_
 
-#include <functional>
 #include <memory>
 #include <unordered_map>
 
@@ -23,9 +22,11 @@ class SingleFlight {
   /// Runs `fn` (or joins an in-flight call with the same key) and
   /// returns its result. `*leader` (optional) is set to true for the
   /// caller whose `fn` actually ran. `fn` executes outside all internal
-  /// locks, so callers on distinct keys never serialize each other.
-  Value Do(const Key& key, const std::function<Value()>& fn,
-           bool* leader = nullptr) {
+  /// locks, so callers on distinct keys never serialize each other. It
+  /// is any callable returning a Value, taken by reference and never
+  /// copied, so a large closure costs no allocation.
+  template <typename Fn>
+  Value Do(const Key& key, Fn&& fn, bool* leader = nullptr) {
     std::shared_ptr<Call> call;
     bool is_leader = false;
     {

@@ -24,10 +24,11 @@ int64_t SteadyNowMs() {
 
 /// Per-thread request scratch: the compressed query ID and the probe
 /// descriptor carrying its QueryKey. Reused across calls, so the
-/// steady-state hit path derives the key (one compression pass + one
-/// signature) with no heap allocation. Only valid until the next
-/// Execute()/GetCached()/IsCached() on the same thread -- the miss path
-/// copies what it needs before running the executor, which may reenter.
+/// steady-state hit path (and Invalidate()) derives the key (one
+/// compression pass + one signature) with no heap allocation. Only
+/// valid until the next Execute()/GetCached()/IsCached()/Invalidate()
+/// on the same thread -- the miss path copies what it needs before
+/// running the executor, which may reenter.
 struct RequestScratch {
   std::string id;
   QueryDescriptor probe;
@@ -45,6 +46,32 @@ constexpr const char* kNotCachedMessage = "not cached";
 /// An execution's result, viewed as the retrieved set it offers.
 Watchman::Fill SetOf(const Watchman::ExecutionResult& result) {
   return {result.payload, result.cost, result.relations};
+}
+
+/// The tags of the relations a set reported.
+RelationTags TagsOf(const std::vector<std::string>& relations) {
+  RelationTags tags;
+  for (const std::string& relation : relations) {
+    tags.Add(RelationTags::Of(relation));
+  }
+  return tags;
+}
+
+/// The slot of `hash` in a fixed power-of-two epoch array.
+template <typename Slots>
+auto& SlotOf(Slots& slots, uint64_t hash) {
+  return slots[hash & (slots.size() - 1)];
+}
+
+/// Raises `slot` to `epoch` unless it already holds a later one.
+void RaiseEpoch(std::atomic<uint64_t>& slot, uint64_t epoch) {
+  uint64_t seen = slot.load(std::memory_order_relaxed);
+  while (seen < epoch) {
+    if (slot.compare_exchange_weak(seen, epoch, std::memory_order_acq_rel,
+                                   std::memory_order_relaxed)) {
+      return;
+    }
+  }
 }
 
 }  // namespace
@@ -70,17 +97,15 @@ Watchman::Watchman(Options options, Executor executor)
   } else {
     payloads_ = std::make_unique<MemoryPayloadStore>();
   }
-  // Runs under the evicting shard's lock; touches only the payload and
-  // coherence state (never the cache), keeping the lock order
-  // shard -> payload/coherence acyclic.
+  // The listener's one job is erasing the evicted set's payload. It
+  // runs under the evicting shard's lock and never calls into the cache,
+  // keeping the lock order shard -> payload acyclic.
   cache_->SetEvictionListener([this](const QueryDescriptor& d) {
-    // Runs under the evicting shard's lock: reuse a per-thread buffer
-    // so the listener does not allocate there once its capacity covers
-    // the longest evicted ID.
+    // Reuse a per-thread buffer so the listener does not allocate under
+    // the shard lock once its capacity covers the longest evicted ID.
     static thread_local std::string id;
     id.assign(d.query_id());
     ErasePayload(id);
-    ForgetDependencies(id);
   });
 }
 
@@ -112,40 +137,12 @@ StatusOr<Watchman::ExecutionResult> Watchman::RunExecutor(
   return result;
 }
 
-std::string Watchman::MakeQueryId(const std::string& query_text) const {
-  return options_.normalize_queries ? NormalizeQuery(query_text)
-                                    : CompressQueryId(query_text);
-}
-
 void Watchman::MakeQueryIdInto(const std::string& query_text,
                                std::string* out) const {
   if (options_.normalize_queries) {
     *out = NormalizeQuery(query_text);
   } else {
     CompressQueryIdInto(query_text, out);
-  }
-}
-
-void Watchman::ForgetDependencies(const std::string& query_id) {
-  MutexLock lock(coherence_mu_);
-  auto it = reads_.find(query_id);
-  if (it == reads_.end()) return;
-  for (const std::string& relation : it->second) {
-    auto dep = dependents_.find(relation);
-    if (dep == dependents_.end()) continue;
-    dep->second.erase(query_id);
-    if (dep->second.empty()) dependents_.erase(dep);
-  }
-  reads_.erase(it);
-}
-
-void Watchman::RegisterDependencies(
-    const std::string& query_id, const std::vector<std::string>& relations) {
-  if (relations.empty()) return;
-  MutexLock lock(coherence_mu_);
-  reads_[query_id] = relations;
-  for (const std::string& relation : relations) {
-    dependents_[relation].insert(query_id);
   }
 }
 
@@ -206,24 +203,21 @@ void Watchman::ErasePayload(const std::string& query_id) {
   payloads_->Erase(query_id);
 }
 
-bool Watchman::InvalidatedSince(const std::string& query_id,
-                                const std::vector<std::string>& relations,
+bool Watchman::InvalidatedSince(Signature signature, const RelationTags& tags,
                                 uint64_t epoch) const {
-  MutexLock lock(coherence_mu_);
-  auto invalidated_after = [epoch](const auto& map, const std::string& key) {
-    auto it = map.find(key);
-    return it != map.end() && it->second > epoch;
+  auto raised_after = [epoch](const std::atomic<uint64_t>& slot) {
+    return slot.load(std::memory_order_acquire) > epoch;
   };
-  if (invalidated_after(query_invalidation_epoch_, query_id)) return true;
-  for (const std::string& relation : relations) {
-    if (invalidated_after(relation_invalidation_epoch_, relation)) {
-      return true;
-    }
+  if (raised_after(SlotOf(query_epochs_, signature.value))) return true;
+  // A flagged set did not keep all its tags: any invalidation counts.
+  if (tags.overflow()) return raised_after(invalidation_epoch_);
+  for (uint64_t tag : tags) {
+    if (raised_after(SlotOf(relation_epochs_, tag))) return true;
   }
   return false;
 }
 
-void Watchman::OfferToCache(const std::string& query_id,
+bool Watchman::OfferToCache(const std::string& query_id,
                             QueryDescriptor* desc_out, const Fill& set,
                             uint64_t epoch_at_start, Timestamp now,
                             bool record_reference) {
@@ -234,18 +228,38 @@ void Watchman::OfferToCache(const std::string& query_id,
     // Empty retrieved sets are returned but never cached (the cache
     // rejects zero-size sets under every policy).
     if (record_reference) cache_->Reference(desc, now);
-    return;
+    return false;
   }
-  bool newly_admitted = false;
-  if (record_reference) {
-    newly_admitted = !cache_->Reference(desc, now);
-  }
-  if (!cache_->Contains(desc.key)) return;  // rejected or raced out
-  if (record_reference && !newly_admitted && HasPayload(query_id)) {
+  // Why these four steps never leave a set that read pre-update data
+  // published past the invalidation: Invalidate() and
+  // InvalidateRelation() raise their epoch slot BEFORE they erase or
+  // walk the shards, and that erase or walk takes the shard lock under
+  // which step 1 inserts the entry together with its tags. So either
+  // the insertion came first, and the invalidation finds the entry and
+  // evicts it; or the invalidation passed the shard first, and step 2,
+  // which runs after the insertion, sees the raised slot. Step 3
+  // publishes only after step 2 passed, and an entry evicted after step
+  // 2 (by an invalidation or for capacity) fired the eviction listener
+  // before there was a payload to erase, which step 4 makes up for.
+  const RelationTags tags = TagsOf(set.relations);
+  // 1. Insert the entry with its tags (under the shard lock).
+  using Offered = ShardedQueryCache::OfferResult;
+  const Offered offered = cache_->Offer(desc, now, tags, record_reference);
+  if (offered == Offered::kNotCached) return false;  // rejected or raced out
+  if (offered == Offered::kAlreadyCached && record_reference &&
+      HasPayload(query_id)) {
     // Deduplicated follower hitting the leader's already-published set:
     // nothing left to publish.
-    return;
+    return true;
   }
+  // 2. Coherence check: a relation this execution read, or the query
+  // itself, was invalidated while it ran outside the locks, so the
+  // result reflects pre-update data and must not be published.
+  if (InvalidatedSince(desc.signature(), tags, epoch_at_start)) {
+    cache_->Erase(desc.key);
+    return false;
+  }
+  // 3. Publish the payload.
   Status stored = FaultPoint(Fault::kAllocFail, "cache entry allocation");
   if (stored.ok()) stored = PutPayload(query_id, set.payload);
   if (!stored.ok()) {
@@ -254,35 +268,21 @@ void Watchman::OfferToCache(const std::string& query_id,
     // uncached (degraded pass-through).
     cache_->Erase(desc.key);
     metrics_.degraded_passthrough.Inc();
-    return;
+    return false;
   }
-  RegisterDependencies(query_id, set.relations);
-  // Coherence check AFTER the dependencies are registered: an
-  // invalidation that lands before this point is detected here, and one
-  // that lands after will find the entry in dependents_ (or the cache
-  // itself, for per-query invalidation) and erase it -- no window in
-  // between.
-  if (InvalidatedSince(query_id, set.relations, epoch_at_start)) {
-    // A relation this execution read was invalidated while the query
-    // ran outside the locks: the result reflects pre-update data, so it
-    // must not stay cached past the invalidation.
-    cache_->Erase(desc.key);
-    return;
-  }
+  // 4. Evicted since step 2: the listener found no payload to erase, so
+  // undo the publish rather than leak it. (Should a racing re-admission
+  // publish in between, this undo costs it one re-execution on the next
+  // access, which re-publishes -- the hit path self-heals on a missing
+  // payload.)
   if (!cache_->Contains(desc.key)) {
-    // Evicted concurrently before the payload and dependencies were
-    // published, so the eviction listener could not clean them up; undo
-    // both rather than leak them. (Should a racing re-admission publish
-    // in between, this undo costs it one re-execution on the next
-    // access, which re-publishes -- the hit path self-heals on a
-    // missing payload.)
     ErasePayload(query_id);
-    ForgetDependencies(query_id);
-    return;
+    return false;
   }
-  if (newly_admitted && admission_listener_) {
+  if (offered == Offered::kAdmitted && admission_listener_) {
     admission_listener_(query_id);
   }
+  return true;
 }
 
 StatusOr<std::string> Watchman::Execute(const std::string& query_text) {
@@ -351,33 +351,25 @@ Status Watchman::ExecuteOnce(const std::string& query_text, const Fill* fill,
   // held; concurrent misses on the same query ID share one flight. The
   // leader offers the set to the cache and publishes the payload before
   // the flight closes, so late arrivals find it on the fast path instead
-  // of re-executing. The in-flight guard keeps the invalidation-epoch
-  // records alive until every overlapping offer has checked them.
-  inflight_offers_.fetch_add(1, std::memory_order_acq_rel);
+  // of re-executing.
   bool leader = false;
-  std::shared_ptr<const FlightOutcome> flight;
-  try {
-    flight = flights_.Do(
-        query_id,
-        [this, &query_text, fill, &query_id, &probe, now, referenced] {
-          auto outcome = std::make_shared<FlightOutcome>();
-          outcome->epoch_at_start =
-              invalidation_epoch_.load(std::memory_order_acquire);
-          outcome->filled = fill != nullptr;
-          outcome->result = RunExecutor(query_text, !outcome->filled);
-          if (outcome->result.ok()) {
-            OfferToCache(query_id, &probe,
-                         fill != nullptr ? *fill : SetOf(*outcome->result),
-                         outcome->epoch_at_start, now,
-                         /*record_reference=*/!*referenced);
-          }
-          return std::shared_ptr<const FlightOutcome>(std::move(outcome));
-        },
-        &leader);
-  } catch (...) {
-    ReleaseInflightOffer();
-    throw;
-  }
+  const std::shared_ptr<const FlightOutcome> flight = flights_.Do(
+      query_id,
+      [this, &query_text, fill, &query_id, &probe, now, referenced] {
+        auto outcome = std::make_shared<FlightOutcome>();
+        outcome->epoch_at_start =
+            invalidation_epoch_.load(std::memory_order_acquire);
+        outcome->filled = fill != nullptr;
+        outcome->result = RunExecutor(query_text, !outcome->filled);
+        if (outcome->result.ok()) {
+          const Fill set = fill != nullptr ? *fill : SetOf(*outcome->result);
+          outcome->cached = OfferToCache(query_id, &probe, set,
+                                         outcome->epoch_at_start, now,
+                                         /*record_reference=*/!*referenced);
+        }
+        return std::shared_ptr<const FlightOutcome>(std::move(outcome));
+      },
+      &leader);
   const bool succeeded = flight != nullptr && flight->result.ok();
   if (succeeded && !leader) {
     // A deduplicated follower still counts as one reference: normally a
@@ -400,10 +392,9 @@ Status Watchman::ExecuteOnce(const std::string& query_text, const Fill* fill,
     metrics_.executions.Inc();
     const Fill set = fill != nullptr ? *fill : SetOf(*flight->result);
     const uint64_t bytes = set.payload.size();
-    const bool admitted = bytes > 0 && cache_->Contains(probe.key);
     const uint64_t profit_ppm =
         bytes == 0 ? 0 : set.cost * 1000000ull / bytes;
-    if (admitted) {
+    if (flight->cached) {
       metrics_.admitted_cost.Record(set.cost);
       metrics_.admitted_profit_ppm.Record(profit_ppm);
     } else {
@@ -411,7 +402,6 @@ Status Watchman::ExecuteOnce(const std::string& query_text, const Fill* fill,
       metrics_.rejected_profit_ppm.Record(profit_ppm);
     }
   }
-  ReleaseInflightOffer();
 
   if (flight == nullptr) {
     // The leader's executor threw; it propagated the exception and the
@@ -441,19 +431,6 @@ Status Watchman::ExecuteOnce(const std::string& query_text, const Fill* fill,
     return Status::OK();
   }
   return flight->result.status();
-}
-
-void Watchman::ReleaseInflightOffer() {
-  if (inflight_offers_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Last overlapping execution finished: every future flight will
-    // snapshot an epoch at least as new as anything recorded, so the
-    // per-relation records can no longer change a staleness check.
-    MutexLock lock(coherence_mu_);
-    if (inflight_offers_.load(std::memory_order_acquire) == 0) {
-      relation_invalidation_epoch_.clear();
-      query_invalidation_epoch_.clear();
-    }
-  }
 }
 
 StatusOr<std::string> Watchman::GetCached(const std::string& query_text) {
@@ -493,41 +470,30 @@ bool Watchman::IsCached(const std::string& query_text) const {
 }
 
 bool Watchman::Invalidate(const std::string& query_text) {
-  const std::string query_id = MakeQueryId(query_text);
-  // Stamp the epoch before erasing so an in-flight execution of this
-  // query that started earlier cannot re-cache its pre-update result.
+  RequestScratch& scratch = Scratch();
+  MakeQueryIdInto(query_text, &scratch.id);
+  scratch.probe.key.Assign(scratch.id);
+  // Raise the query's epoch slot before erasing, so an in-flight
+  // execution of this query that started earlier cannot re-cache its
+  // pre-update result (see OfferToCache).
   const uint64_t epoch =
       invalidation_epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  {
-    MutexLock lock(coherence_mu_);
-    query_invalidation_epoch_[query_id] = epoch;
-  }
-  const bool erased = cache_->Erase(query_id);
+  RaiseEpoch(SlotOf(query_epochs_, scratch.probe.signature().value), epoch);
+  const bool erased = cache_->Erase(scratch.probe.key);
   if (erased) invalidations_.fetch_add(1, std::memory_order_relaxed);
   return erased;
 }
 
 size_t Watchman::InvalidateRelation(const std::string& relation) {
-  // Stamp the invalidation epoch first: any in-flight execution that
-  // read `relation` before this point will see the newer epoch when it
-  // tries to cache its (pre-update) result and discard it.
+  // Raise the relation's epoch slot before the walk: an in-flight
+  // execution that read `relation` earlier and inserts its entry on a
+  // shard the walk already passed sees the raised slot in its coherence
+  // check and discards its (pre-update) result (see OfferToCache).
+  const uint64_t tag = RelationTags::Of(relation);
   const uint64_t epoch =
       invalidation_epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  // Snapshot the dependent IDs, then erase without holding the
-  // coherence lock (Erase takes the shard lock and fires the listener,
-  // which re-acquires the coherence lock).
-  std::vector<std::string> ids;
-  {
-    MutexLock lock(coherence_mu_);
-    relation_invalidation_epoch_[relation] = epoch;
-    auto it = dependents_.find(relation);
-    if (it == dependents_.end()) return 0;
-    ids.assign(it->second.begin(), it->second.end());
-  }
-  size_t dropped = 0;
-  for (const std::string& id : ids) {
-    if (cache_->Erase(id)) ++dropped;
-  }
+  RaiseEpoch(SlotOf(relation_epochs_, tag), epoch);
+  const size_t dropped = cache_->EraseTagged(tag);
   invalidations_.fetch_add(dropped, std::memory_order_relaxed);
   return dropped;
 }

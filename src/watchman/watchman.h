@@ -19,8 +19,9 @@
 //  * query normalization (section 6 future work): an optional canonical
 //    form that identifies queries differing in predicate order;
 //  * cache coherence (section 3): executors may report the relations a
-//    query touched, and InvalidateRelation() evicts the dependent sets
-//    when the warehouse is updated -- across all shards;
+//    query touched; each cached set carries them as tags in its cache
+//    entry (cache/relation_tags.h), and InvalidateRelation() walks the
+//    shards and evicts the sets tagged with the updated relation;
 //  * pluggable payload storage (section 3): retrieved sets live in main
 //    memory by default, or on secondary storage via FilePayloadStore.
 //
@@ -29,21 +30,24 @@
 // any thread. Configuration (SetAdmissionListener, construction options)
 // must happen before concurrent use. A user-supplied clock or payload
 // store must itself be thread-safe when Execute() is called
-// concurrently; the built-in defaults are.
+// concurrently; the built-in defaults are. Coherence takes no lock of
+// its own: the tags live under their shard's lock, and the invalidation
+// epochs are fixed arrays of atomic slots (see OfferToCache for why an
+// execution that overlaps an invalidation can never stay published).
 
 #ifndef WATCHMAN_WATCHMAN_WATCHMAN_H_
 #define WATCHMAN_WATCHMAN_WATCHMAN_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "cache/relation_tags.h"
 #include "cache/sharded_query_cache.h"
 #include "obs/metrics.h"
 #include "sim/policy_config.h"
@@ -176,15 +180,16 @@ class Watchman {
   /// Execute() into a caller-owned buffer, reusing its capacity, with an
   /// optional fill. On a miss a non-null `fill` stands in for the
   /// executor: its bytes are offered to the cache (admission,
-  /// single-flight and coherence epochs as for an execution) and copied
-  /// into `out`, nowhere else. A hit answers the cached set and ignores
-  /// the fill. `*cache_hit` is true when the answer is the cached set or
-  /// another caller's execution, i.e. nothing ran or was filled for this
-  /// call. A caller deduplicated behind a flight that holds no set for
-  /// it (a fill-led flight keeps its bytes with its own caller; a
-  /// fill-less flight the executor answered NotFound could not use this
-  /// caller's fill) goes around again, so its fill still lands. After an
-  /// error status `*out` is unspecified.
+  /// single-flight, relation tags and the coherence check as for an
+  /// execution) and copied into `out`, nowhere else. A hit answers the
+  /// cached set and ignores the fill. `*cache_hit` is true when the
+  /// answer is the cached set or another caller's execution, i.e.
+  /// nothing ran or was filled for this call. A caller deduplicated
+  /// behind a flight that holds no set for it (a fill-led flight keeps
+  /// its bytes with its own caller; a fill-less flight the executor
+  /// answered NotFound could not use this caller's fill) goes around
+  /// again, so its fill still lands. After an error status `*out` is
+  /// unspecified.
   Status ExecuteInto(const std::string& query_text, const Fill* fill,
                      std::string* out, bool* cache_hit);
 
@@ -264,7 +269,15 @@ class Watchman {
     /// The leader offered its caller's fill: `result` is OK but holds no
     /// payload, the bytes stayed with that caller.
     bool filled = false;
+    /// The leader's offer left the set cached and published.
+    bool cached = false;
   };
+
+  /// Slots per invalidation-epoch array (a power of two). A fixed size
+  /// bounds coherence metadata by construction.
+  static constexpr size_t kEpochSlots = 1024;
+  static_assert((kEpochSlots & (kEpochSlots - 1)) == 0);
+  using EpochSlots = std::array<std::atomic<uint64_t>, kEpochSlots>;
 
   Timestamp NowTick();
   /// One round of ExecuteInto(); sets `*again` when this caller was
@@ -279,34 +292,27 @@ class Watchman {
   /// fault sites fire, and an OK result holds nothing.
   StatusOr<ExecutionResult> RunExecutor(const std::string& query_text,
                                         bool run);
-  std::string MakeQueryId(const std::string& query_text) const;
-  /// MakeQueryId into a caller-owned buffer (per-thread scratch reuse).
+  /// The query ID of `query_text` (compressed, or normalized with
+  /// Options::normalize_queries), into a caller-owned buffer (per-thread
+  /// scratch reuse).
   void MakeQueryIdInto(const std::string& query_text, std::string* out) const;
-  void ForgetDependencies(const std::string& query_id);
-  void RegisterDependencies(const std::string& query_id,
-                            const std::vector<std::string>& relations);
 
   /// Records one reference for `query_id`'s retrieved set `set` (unless
   /// this call's reference was already counted on the fast path) and,
-  /// when the set is cached, publishes the payload and coherence
-  /// bookkeeping. `desc` carries the key; its size and cost are set from
-  /// `set`. Drops the entry again if any of its relations was
-  /// invalidated after `epoch_at_start` (the execution read pre-update
-  /// data).
-  void OfferToCache(const std::string& query_id, QueryDescriptor* desc,
+  /// when the set is cached, publishes its payload. `desc` carries the
+  /// key; its size and cost are set from `set`. Drops the entry instead
+  /// if the query or any of its relations was invalidated after
+  /// `epoch_at_start` (the execution read pre-update data). Returns true
+  /// when the set is left cached and published.
+  bool OfferToCache(const std::string& query_id, QueryDescriptor* desc,
                     const Fill& set, uint64_t epoch_at_start, Timestamp now,
                     bool record_reference);
 
-  /// True if the query itself or any of `relations` was invalidated
-  /// after `epoch`.
-  bool InvalidatedSince(const std::string& query_id,
-                        const std::vector<std::string>& relations,
+  /// True if the query signed `signature`, or a relation tagged in
+  /// `tags`, was invalidated after `epoch` (any relation, for a flagged
+  /// set).
+  bool InvalidatedSince(Signature signature, const RelationTags& tags,
                         uint64_t epoch) const;
-
-  /// Drops one in-flight-execution guard; when the last one goes, the
-  /// per-relation invalidation-epoch records are pruned (no overlapping
-  /// execution can reference them anymore).
-  void ReleaseInflightOffer();
 
   /// The store breaker admits a store call; reads the clock only when
   /// the breaker is not closed.
@@ -326,26 +332,13 @@ class Watchman {
   /// stores are -- while Put/Erase are exclusive. (The pointee, not the
   /// unique_ptr, is the guarded object; the analysis tracks the lock
   /// sites in the payload helpers rather than a PT_GUARDED_BY member.)
+  /// Lock order: shard lock, then this (the eviction listener erases
+  /// payloads under the evicting shard's lock); never call into the
+  /// cache while holding it.
   mutable SharedMutex payload_mu_;
   /// Trips on consecutive store failures; while open, Put/Get short-
   /// circuit and misses are served uncached (Options::store_breaker).
   CircuitBreaker store_breaker_;
-  /// Guards dependents_ / reads_. Lock order: shard lock, then this
-  /// (taken by the eviction listener); never call into the cache while
-  /// holding it.
-  mutable Mutex coherence_mu_;
-  /// relation -> query IDs of cached sets that read it.
-  std::unordered_map<std::string, std::unordered_set<std::string>>
-      dependents_ GUARDED_BY(coherence_mu_);
-  /// query ID -> relations it read (only for cached sets).
-  std::unordered_map<std::string, std::vector<std::string>> reads_
-      GUARDED_BY(coherence_mu_);
-  /// relation / query ID -> epoch of its latest invalidation (coherence
-  /// vs. in-flight executions); pruned when no execution is in flight.
-  std::unordered_map<std::string, uint64_t> relation_invalidation_epoch_
-      GUARDED_BY(coherence_mu_);
-  std::unordered_map<std::string, uint64_t> query_invalidation_epoch_
-      GUARDED_BY(coherence_mu_);
   AdmissionListener admission_listener_;
   /// Miss-path observability (Options::metrics).
   FacadeMetrics metrics_;
@@ -353,11 +346,15 @@ class Watchman {
   SingleFlight<std::string, std::shared_ptr<const FlightOutcome>> flights_;
   std::atomic<Timestamp> internal_clock_{0};
   std::atomic<uint64_t> invalidations_{0};
-  /// Bumped by every relation invalidation.
+  /// Bumped by every invalidation; executions snapshot it before they
+  /// run.
   std::atomic<uint64_t> invalidation_epoch_{0};
-  /// Executions currently between epoch snapshot and cache offer; the
-  /// relation-epoch records are pruned whenever this drains to zero.
-  std::atomic<int64_t> inflight_offers_{0};
+  /// The epoch at which a relation (slot of its tag) or a query (slot of
+  /// its signature) was last invalidated, raised by a monotone max. Two
+  /// names sharing a slot can only make an offer that overlapped an
+  /// invalidation discard itself.
+  EpochSlots relation_epochs_{};
+  EpochSlots query_epochs_{};
 };
 
 }  // namespace watchman

@@ -41,7 +41,7 @@ TEST(ExecuteIntoTest, FillIsAdmittedAndEchoedAsMiss) {
   EXPECT_EQ(wm.stats().lookups, 1u);
   EXPECT_EQ(wm.stats().hits, 0u);
   EXPECT_EQ(wm.facade_metrics().executions.Value(), 1u);
-  // The fill's relations were registered: an update evicts the set.
+  // The fill's relations tag the entry: an update evicts the set.
   EXPECT_EQ(wm.InvalidateRelation("lineitem"), 1u);
   EXPECT_FALSE(wm.IsCached("select f from t"));
 }

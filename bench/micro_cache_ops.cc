@@ -271,9 +271,9 @@ BenchResult RunLoopbackGet(uint64_t iters) {
     std::fprintf(stderr, "  loopback_get: cannot start server, skipped\n");
     return BenchResult{};
   }
-  WatchmanClient::Options copts;
+  MultiplexedClient::Options copts;
   copts.port = server.port();
-  auto client = WatchmanClient::Connect(copts);
+  auto client = MultiplexedClient::Connect(copts);
   if (!client.ok()) {
     std::fprintf(stderr, "  loopback_get: cannot connect, skipped\n");
     return BenchResult{};

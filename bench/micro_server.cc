@@ -6,8 +6,8 @@
 // server (--backend, default epoll; inline dispatch OFF so the numbers
 // stay comparable with the pre-inline trajectory):
 //
-//   loopback_get_blocking   -- WatchmanClient: one blocked round trip
-//                              per request (the pre-v3 floor)
+//   loopback_get_blocking   -- MultiplexedClient::Get: one blocked round
+//                              trip per request (the pre-v3 floor)
 //   loopback_get_pipelined  -- MultiplexedClient: a 32-deep window of
 //                              in-flight GETs on one connection; the
 //                              writer batches frames, the awaiting
@@ -93,9 +93,9 @@ double RunSweepPoint(uint16_t port, int num_threads, int ms,
   threads.reserve(num_threads);
   for (int t = 0; t < num_threads; ++t) {
     threads.emplace_back([&, t] {
-      WatchmanClient::Options options;
+      MultiplexedClient::Options options;
       options.port = port;
-      auto client = WatchmanClient::Connect(options);
+      auto client = MultiplexedClient::Connect(options);
       if (!client.ok()) {
         failures.fetch_add(1);
         start.arrive_and_wait();
@@ -146,9 +146,9 @@ double RunSweepPoint(uint16_t port, int num_threads, int ms,
 /// One blocked round trip per request on one connection.
 BenchResult RunBlockingGet(const std::string& scenario, uint16_t port,
                            uint64_t iters) {
-  WatchmanClient::Options options;
+  MultiplexedClient::Options options;
   options.port = port;
-  auto client = WatchmanClient::Connect(options);
+  auto client = MultiplexedClient::Connect(options);
   if (!client.ok()) {
     std::fprintf(stderr, "  %s: cannot connect\n", scenario.c_str());
     return BenchResult{};
@@ -167,7 +167,7 @@ BenchResult RunBlockingGet(const std::string& scenario, uint16_t port,
 /// op starts one buffered request; every `window`-th op awaits the
 /// whole burst. The writer path coalesces the burst into one send and
 /// the daemon's responses come back batched, so the per-request
-/// syscall/wakeup cost is ~1/window of the blocking client's.
+/// syscall/wakeup cost is ~1/window of a blocking Get's.
 BenchResult RunPipelinedGet(const std::string& scenario, uint16_t port,
                             uint64_t iters, size_t window) {
   auto client = MultiplexedClient::Connect({.port = port});
@@ -352,9 +352,9 @@ int Run(int argc, char** argv) {
 
   // Pre-fill over the wire (miss-fill EXECUTEs).
   {
-    WatchmanClient::Options copts;
+    MultiplexedClient::Options copts;
     copts.port = server.port();
-    auto client = WatchmanClient::Connect(copts);
+    auto client = MultiplexedClient::Connect(copts);
     if (!client.ok()) {
       std::fprintf(stderr, "cannot connect: %s\n",
                    client.status().ToString().c_str());

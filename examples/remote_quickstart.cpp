@@ -8,11 +8,16 @@
 // `RemoteWatchman` changes nothing else in application code.
 //
 // By default this example starts a daemon in-process on an ephemeral
-// loopback port so it runs standalone; pass a port number to attach to
-// an already-running `watchmand` instead:
+// loopback port so it runs standalone (ctest runs it that way); pass a
+// port number to attach to an already-running `watchmand` instead:
 //
 //   ./build/watchmand --port=9736 &
 //   ./build/example_remote_quickstart 9736
+//
+// It checks its answers and exits 1 unless the daemon behaved as a
+// fresh one must: the five queries ran the executor once, invalidating
+// `lineitem` dropped that one set and the next query ran it again, and
+// the pipelined probes read hit, miss, hit.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -27,6 +32,7 @@
 
 #include "server/client.h"
 #include "server/server.h"
+#include "util/string_util.h"
 #include "watchman/watchman.h"
 
 using watchman::MultiplexedClient;
@@ -34,7 +40,6 @@ using watchman::RemoteWatchman;
 using watchman::Status;
 using watchman::StatusOr;
 using watchman::Watchman;
-using watchman::WatchmanClient;
 using watchman::WatchmanServer;
 using watchman::WireStats;
 
@@ -96,6 +101,12 @@ double SumMetric(const std::string& body, const std::string& name) {
   return total;
 }
 
+/// Reports a failed check on stderr; returns `ok`.
+bool Check(bool ok, const char* what) {
+  if (!ok) std::fprintf(stderr, "check failed: %s\n", what);
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -104,7 +115,12 @@ int main(int argc, char** argv) {
   std::unique_ptr<WatchmanServer> daemon;
   uint16_t port = 0;
   if (argc > 1) {
-    port = static_cast<uint16_t>(std::atoi(argv[1]));
+    uint64_t value = 0;
+    if (!watchman::ParseUint(argv[1], 65535, &value) || value == 0) {
+      std::fprintf(stderr, "usage: %s [port]\n", argv[0]);
+      return 2;
+    }
+    port = static_cast<uint16_t>(value);
   } else {
     Watchman::Options options;
     options.capacity_bytes = 4 << 20;
@@ -139,7 +155,7 @@ int main(int argc, char** argv) {
     return result;
   };
 
-  WatchmanClient::Options client_options;
+  MultiplexedClient::Options client_options;
   client_options.port = port;
   auto remote = RemoteWatchman::Connect(client_options, executor);
   if (!remote.ok()) {
@@ -162,6 +178,9 @@ int main(int argc, char** argv) {
     std::printf("run %d: %s (local executions so far: %d)\n", i + 1,
                 result->c_str(), executions);
   }
+  if (!Check(executions == 1, "five queries made one local execution")) {
+    return 1;
+  }
 
   // The warehouse loaded new lineitem rows: every cached set that read
   // the relation is dropped daemon-side, so the next query re-executes.
@@ -173,6 +192,10 @@ int main(int argc, char** argv) {
   if (!refreshed.ok()) return 1;
   std::printf("after update: re-executed (local executions: %d)\n",
               executions);
+  if (!Check(*dropped == 1 && executions == 2,
+             "the update dropped one set and the next query re-executed")) {
+    return 1;
+  }
 
   StatusOr<WireStats> stats = (*remote)->Stats();
   if (!stats.ok()) return 1;
@@ -184,27 +207,30 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats->entry_count),
               stats->policy_name.c_str());
 
-  // One connection, many requests in flight: the multiplexed client
-  // pipelines a burst of GET probes (StartGet buffers, the first Await
-  // flushes the batch in one write) and the daemon's responses are
-  // routed back to each ticket by request id -- the pattern that lets
-  // many application threads share a single daemon connection.
-  auto mux = MultiplexedClient::Connect(client_options);
-  if (!mux.ok()) return 1;
-  std::printf("\npipelined probes on one multiplexed connection:\n");
+  // One connection, many requests in flight: the client pipelines a
+  // burst of GET probes (StartGet buffers, the first Await flushes the
+  // batch in one write) and the daemon's responses are routed back to
+  // each ticket by request id -- the pattern that lets many application
+  // threads share a single daemon connection.
+  MultiplexedClient& client = (*remote)->client();
+  std::printf("\npipelined probes on the same connection:\n");
   MultiplexedClient::Ticket tickets[3];
   const std::string probes[3] = {query, "select 1", query};
+  const bool expected_hits[3] = {true, false, true};
   for (int i = 0; i < 3; ++i) {
-    auto ticket = (*mux)->StartGet(probes[i]);
+    auto ticket = client.StartGet(probes[i]);
     if (!ticket.ok()) return 1;
     tickets[i] = *ticket;
   }
   for (int i = 0; i < 3; ++i) {
-    auto response = (*mux)->Await(tickets[i]);
-    const bool hit = response.ok() &&
-                     response->code == watchman::StatusCode::kOk;
+    auto response = client.Await(tickets[i]);
+    if (!response.ok()) return 1;
+    const bool hit = response->code == watchman::StatusCode::kOk;
     std::printf("  probe %d (%.25s...): %s\n", i + 1, probes[i].c_str(),
                 hit ? "hit" : "miss");
+    if (!Check(hit == expected_hits[i], "probes read hit, miss, hit")) {
+      return 1;
+    }
   }
   // The same numbers a Prometheus scraper would see: poll the admin
   // endpoint and derive the hit ratio from the exposition text.

@@ -107,25 +107,6 @@ Status SendAllFd(int fd, std::string_view bytes, Clock::time_point deadline,
   return Status::OK();
 }
 
-/// One recv on the non-blocking `fd`, polling for readability up to
-/// `deadline`. *n is 0 on orderly EOF.
-Status RecvSomeFd(int fd, char* buf, size_t cap, Clock::time_point deadline,
-                  size_t* n) {
-  while (true) {
-    const ssize_t got = FaultRecv(fd, buf, cap, 0);
-    if (got >= 0) {
-      *n = static_cast<size_t>(got);
-      return Status::OK();
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      WATCHMAN_RETURN_IF_ERROR(PollFd(fd, POLLIN, deadline, "recv"));
-      continue;
-    }
-    return Status::IOError(std::string("recv: ") + ErrnoString(errno));
-  }
-}
-
 /// One non-blocking connect attempt with a poll-enforced deadline.
 /// Returns the connected fd (left non-blocking) or an error.
 StatusOr<int> ConnectOnce(const sockaddr_in& addr,
@@ -184,7 +165,7 @@ StatusOr<int> ConnectOnce(const sockaddr_in& addr,
 }
 
 /// Dials with retry and capped backoff per `options`.
-StatusOr<int> DialFd(const WatchmanClient::Options& options) {
+StatusOr<int> DialFd(const MultiplexedClient::Options& options) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(options.port);
@@ -232,28 +213,53 @@ bool ReplaySafe(OpCode op) {
   return false;
 }
 
-// Shared response -> typed-result converters (both client flavours).
-
-StatusOr<WatchmanClient::FetchResult> ToFetchResult(WireResponse&& response) {
-  if (response.code != StatusCode::kOk) {
-    return StatusFromWire(response.code, response.message);
-  }
-  return WatchmanClient::FetchResult{std::move(response.payload),
-                                     response.cache_hit};
+WireRequest MakeRequest(OpCode op, const std::string& query_text = {}) {
+  WireRequest request;
+  request.op = op;
+  request.query_text = query_text;
+  return request;
 }
 
-StatusOr<uint64_t> ToDropped(WireResponse&& response) {
-  if (response.code != StatusCode::kOk) {
-    return StatusFromWire(response.code, response.message);
-  }
-  return response.dropped;
+WireRequest MakeFillRequest(const std::string& query_text,
+                            const std::string& fill_payload,
+                            uint64_t fill_cost,
+                            std::vector<std::string> fill_relations) {
+  WireRequest request = MakeRequest(OpCode::kExecute, query_text);
+  request.has_fill = true;
+  request.fill_payload = fill_payload;
+  request.fill_cost = fill_cost;
+  request.fill_relations = std::move(fill_relations);
+  return request;
 }
 
-StatusOr<WireStats> ToStats(WireResponse&& response) {
-  if (response.code != StatusCode::kOk) {
-    return StatusFromWire(response.code, response.message);
-  }
-  return std::move(response.stats);
+WireRequest MakeRelationRequest(const std::string& relation) {
+  WireRequest request = MakeRequest(OpCode::kInvalidateRelation);
+  request.relation = relation;
+  return request;
+}
+
+// Response -> typed-result converters for the blocking wrappers.
+
+Status ToStatus(const StatusOr<WireResponse>& response) {
+  if (!response.ok()) return response.status();
+  return StatusFromWire(response->code, response->message);
+}
+
+StatusOr<MultiplexedClient::FetchResult> ToFetchResult(
+    StatusOr<WireResponse>&& response) {
+  WATCHMAN_RETURN_IF_ERROR(ToStatus(response));
+  return MultiplexedClient::FetchResult{std::move(response->payload),
+                                        response->cache_hit};
+}
+
+StatusOr<uint64_t> ToDropped(StatusOr<WireResponse>&& response) {
+  WATCHMAN_RETURN_IF_ERROR(ToStatus(response));
+  return response->dropped;
+}
+
+StatusOr<WireStats> ToStats(StatusOr<WireResponse>&& response) {
+  WATCHMAN_RETURN_IF_ERROR(ToStatus(response));
+  return std::move(response->stats);
 }
 
 }  // namespace
@@ -286,220 +292,11 @@ int ShedBackoffMs(int hint_ms, int max_ms, int attempt,
   return ApplyJitter(capped, attempt, jitter_seed);
 }
 
-WatchmanClient::WatchmanClient(Options options)
-    : options_(std::move(options)), shed_jitter_seed_(FreshJitterSeed()) {}
-
-WatchmanClient::~WatchmanClient() {
-  MutexLock lock(mu_);
-  CloseLocked();
-}
-
-StatusOr<std::unique_ptr<WatchmanClient>> WatchmanClient::Connect(
-    const Options& options) {
-  // alloc-ok: one client object per Connect() (setup, not per request)
-  std::unique_ptr<WatchmanClient> client(new WatchmanClient(options));
-  MutexLock lock(client->mu_);
-  WATCHMAN_RETURN_IF_ERROR(client->Dial());
-  return client;
-}
-
-void WatchmanClient::CloseLocked() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  inbuf_.clear();
-}
-
-Status WatchmanClient::Dial() {
-  CloseLocked();
-  StatusOr<int> fd = DialFd(options_);
-  if (!fd.ok()) return fd.status();
-  fd_ = *fd;
-  return Status::OK();
-}
-
-StatusOr<std::string> WatchmanClient::ReadFrameBody(
-    Clock::time_point deadline) {
-  char chunk[64 * 1024];
-  while (true) {
-    std::string_view body;
-    size_t frame_size = 0;
-    StatusOr<bool> extracted = ExtractFrame(inbuf_, options_.max_frame_bytes,
-                                            &body, &frame_size);
-    if (!extracted.ok()) return extracted.status();
-    if (*extracted) {
-      std::string out(body);
-      inbuf_.erase(0, frame_size);
-      return out;
-    }
-    size_t n = 0;
-    WATCHMAN_RETURN_IF_ERROR(
-        RecvSomeFd(fd_, chunk, sizeof(chunk), deadline, &n));
-    if (n == 0) {
-      return Status::IOError("connection closed by the daemon");
-    }
-    inbuf_.append(chunk, n);
-  }
-}
-
-StatusOr<WireResponse> WatchmanClient::RoundTrip(WireRequest& request) {
-  MutexLock lock(mu_);
-  // Shed-retry loop: a kShedRetryLater answer means the daemon refused
-  // the request BEFORE executing it, so retrying (with a fresh id)
-  // after the hinted backoff is always safe -- even for INVALIDATE.
-  for (int attempt = 0;; ++attempt) {
-    StatusOr<WireResponse> response = RoundTripLocked(request);
-    if (!response.ok() ||
-        response->code != StatusCode::kShedRetryLater ||
-        attempt >= options_.shed_retries) {
-      return response;
-    }
-    const int backoff =
-        ShedBackoffMs(static_cast<int>(response->retry_after_ms),
-                      options_.max_shed_backoff_ms, attempt,
-                      shed_jitter_seed_);
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-  }
-}
-
-StatusOr<WireResponse> WatchmanClient::RoundTripLocked(WireRequest& request) {
-  request.request_id = ++next_request_id_;
-  const std::string frame = EncodeRequest(request);
-  // One redial: a pooled connection may have died since the last call.
-  // Redial is allowed only when the failure provably preceded any byte
-  // reaching the wire, or the op's replay is harmless (see ReplaySafe).
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    if (fd_ < 0) {
-      WATCHMAN_RETURN_IF_ERROR(Dial());
-    }
-    const auto deadline = DeadlineIn(options_.io_timeout_ms);
-    size_t sent = 0;
-    Status sent_status = SendAllFd(fd_, frame, deadline, &sent);
-    StatusOr<std::string> body = sent_status.ok()
-                                     ? ReadFrameBody(deadline)
-                                     : StatusOr<std::string>(sent_status);
-    if (!body.ok()) {
-      CloseLocked();
-      if (attempt == 0 && (sent == 0 || ReplaySafe(request.op))) continue;
-      if (sent != 0 && !ReplaySafe(request.op)) {
-        return Status::IOError(
-            std::string("connection failed after '") +
-            OpCodeName(request.op) +
-            "' may have reached the daemon; not retried because the op "
-            "is not replay-safe (" +
-            body.status().message() + ")");
-      }
-      return body.status();
-    }
-    StatusOr<WireResponse> response = DecodeResponse(*body);
-    if (!response.ok()) {
-      // The stream is desynchronized; don't trust the connection.
-      CloseLocked();
-      return response.status();
-    }
-    const bool matches = response->op == request.op &&
-                         response->request_id == request.request_id;
-    if (!matches) {
-      // A mismatched frame means the stream state is unknown either
-      // way. But when the daemon is reporting an error it could not
-      // attribute (framing-level failures echo ping/0), surface ITS
-      // status instead of masking it behind an op-mismatch Internal.
-      CloseLocked();
-      if (response->code != StatusCode::kOk) return response;
-      return Status::Internal(
-          std::string("response mismatch: sent ") + OpCodeName(request.op) +
-          " id " + std::to_string(request.request_id) + ", got " +
-          OpCodeName(response->op) + " id " +
-          std::to_string(response->request_id));
-    }
-    return response;
-  }
-  return Status::Internal("unreachable");
-}
-
-Status WatchmanClient::Ping() {
-  WireRequest request;
-  request.op = OpCode::kPing;
-  StatusOr<WireResponse> response = RoundTrip(request);
-  if (!response.ok()) return response.status();
-  return StatusFromWire(response->code, response->message);
-}
-
-StatusOr<WatchmanClient::FetchResult> WatchmanClient::Get(
-    const std::string& query_text) {
-  WireRequest request;
-  request.op = OpCode::kGet;
-  request.query_text = query_text;
-  StatusOr<WireResponse> response = RoundTrip(request);
-  if (!response.ok()) return response.status();
-  return ToFetchResult(std::move(*response));
-}
-
-StatusOr<WatchmanClient::FetchResult> WatchmanClient::Execute(
-    const std::string& query_text) {
-  WireRequest request;
-  request.op = OpCode::kExecute;
-  request.query_text = query_text;
-  StatusOr<WireResponse> response = RoundTrip(request);
-  if (!response.ok()) return response.status();
-  return ToFetchResult(std::move(*response));
-}
-
-StatusOr<WatchmanClient::FetchResult> WatchmanClient::Execute(
-    const std::string& query_text, const std::string& fill_payload,
-    uint64_t fill_cost, std::vector<std::string> fill_relations) {
-  WireRequest request;
-  request.op = OpCode::kExecute;
-  request.query_text = query_text;
-  request.has_fill = true;
-  request.fill_payload = fill_payload;
-  request.fill_cost = fill_cost;
-  request.fill_relations = std::move(fill_relations);
-  StatusOr<WireResponse> response = RoundTrip(request);
-  if (!response.ok()) return response.status();
-  return ToFetchResult(std::move(*response));
-}
-
-StatusOr<uint64_t> WatchmanClient::Invalidate(const std::string& query_text) {
-  WireRequest request;
-  request.op = OpCode::kInvalidate;
-  request.query_text = query_text;
-  StatusOr<WireResponse> response = RoundTrip(request);
-  if (!response.ok()) return response.status();
-  return ToDropped(std::move(*response));
-}
-
-StatusOr<uint64_t> WatchmanClient::InvalidateRelation(
-    const std::string& relation) {
-  WireRequest request;
-  request.op = OpCode::kInvalidateRelation;
-  request.relation = relation;
-  StatusOr<WireResponse> response = RoundTrip(request);
-  if (!response.ok()) return response.status();
-  return ToDropped(std::move(*response));
-}
-
-StatusOr<WireStats> WatchmanClient::Stats() {
-  WireRequest request;
-  request.op = OpCode::kStats;
-  StatusOr<WireResponse> response = RoundTrip(request);
-  if (!response.ok()) return response.status();
-  return ToStats(std::move(*response));
-}
-
-Status WatchmanClient::Compact() {
-  WireRequest request;
-  request.op = OpCode::kCompact;
-  StatusOr<WireResponse> response = RoundTrip(request);
-  if (!response.ok()) return response.status();
-  return StatusFromWire(response->code, response->message);
-}
-
-// --------------------------------------------------- MultiplexedClient
-
-MultiplexedClient::MultiplexedClient(Options options)
-    : options_(std::move(options)), shed_jitter_seed_(FreshJitterSeed()) {
+MultiplexedClient::MultiplexedClient(Options options, int fd)
+    : options_(std::move(options)),
+      recv_fd_(fd),
+      send_fd_(fd),
+      shed_jitter_seed_(FreshJitterSeed()) {
   MutexLock lock(pending_mu_);
   // Room for a handful of concurrent waiters up front, so a steady
   // thread count never grows the list on the request path.
@@ -510,54 +307,94 @@ StatusOr<std::unique_ptr<MultiplexedClient>> MultiplexedClient::Connect(
     const Options& options) {
   StatusOr<int> fd = DialFd(options);
   if (!fd.ok()) return fd.status();
-  // alloc-ok: one client object per Connect() (setup, not per request)
-  std::unique_ptr<MultiplexedClient> client(new MultiplexedClient(options));
-  client->fd_ = *fd;
-  return client;
+  return std::unique_ptr<MultiplexedClient>(
+      new MultiplexedClient(options, *fd));  // alloc-ok: once per Connect()
 }
 
-MultiplexedClient::~MultiplexedClient() {
-  Break(Status::IOError("client destroyed"));
-  ::close(fd_);
-}
+MultiplexedClient::~MultiplexedClient() { ::close(send_fd_); }
 
-void MultiplexedClient::Break(const Status& status) {
-  std::unordered_map<uint64_t, std::shared_ptr<PendingCall>> orphans;
+void MultiplexedClient::MarkBroken(int fd, const Status& status,
+                                   bool transport) {
   {
     MutexLock lock(pending_mu_);
-    if (broken_.ok()) broken_ = status;
-    orphans.swap(pending_);
+    if (!broken_.ok()) return;
+    broken_ = status;
+    broken_transport_ = transport;
   }
-  // The connection is dead for good: shutting it down wakes a leader
-  // blocked in poll, which then finds its call failed below.
-  ::shutdown(fd_, SHUT_RDWR);
-  for (auto& [id, call] : orphans) {
-    MutexLock lock(call->mu);
+  ::shutdown(fd, SHUT_RDWR);
+}
+
+void MultiplexedClient::FailPending() {
+  MutexLock lock(pending_mu_);
+  for (auto& [id, call] : pending_) {
+    MutexLock call_lock(call->mu);
     if (call->done) continue;
-    call->error = status;
+    call->error = broken_;
+    if (broken_transport_) {
+      call->loss = sent_ > call->offset ? Loss::kSent : Loss::kUnsent;
+    }
     call->done = true;
     call->cv.NotifyAll();
   }
 }
 
+Status MultiplexedClient::Redial() {
+  MutexLock redial_lock(redial_mu_);
+  {
+    MutexLock lock(pending_mu_);
+    if (broken_.ok()) return Status::OK();  // another start redialed
+  }
+  StatusOr<int> fd = DialFd(options_);
+  if (!fd.ok()) return fd.status();
+  int old_fd;
+  {
+    MutexLock read_lock(read_mu_);
+    MutexLock flush_lock(flush_mu_);
+    MutexLock send_lock(send_mu_);
+    MutexLock lock(pending_mu_);
+    old_fd = send_fd_;
+    recv_fd_ = send_fd_ = *fd;
+    inbuf_.clear();
+    // Frames still buffered belong to calls the failure already failed.
+    outbuf_.clear();
+    sent_ = buffered_ = 0;
+    broken_ = Status::OK();
+    broken_transport_ = false;
+  }
+  ::close(old_fd);
+  return Status::OK();
+}
+
 StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartRequest(
     WireRequest& request) {
-  const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  request.request_id = id;
+  request.request_id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   // One waiter record per pipelined request -- client-side only; the
   // daemon's steady-state request path stays allocation-free.
   // alloc-ok: client-side per-request waiter record
   auto call = std::make_shared<PendingCall>();
+  if (!Buffer(request, call).ok()) {
+    WATCHMAN_RETURN_IF_ERROR(Redial());
+    WATCHMAN_RETURN_IF_ERROR(Buffer(request, call));
+  }
+  return request.request_id;
+}
+
+Status MultiplexedClient::Buffer(const WireRequest& request,
+                                 const std::shared_ptr<PendingCall>& call) {
+  // send_mu_ is held from the registration to the append, so a redial
+  // cannot slip between them and carry onto the new connection a frame
+  // whose call the failure has already failed.
+  MutexLock send_lock(send_mu_);
   {
     MutexLock lock(pending_mu_);
     if (!broken_.ok()) return broken_;
-    pending_.emplace(id, call);
+    call->offset = buffered_;
+    pending_.emplace(request.request_id, call);
   }
-  {
-    MutexLock lock(send_mu_);
-    AppendRequest(request, &outbuf_);
-  }
-  return id;
+  const size_t before = outbuf_.size();
+  AppendRequest(request, &outbuf_);
+  buffered_ += outbuf_.size() - before;
+  return Status::OK();
 }
 
 Status MultiplexedClient::Flush() {
@@ -566,9 +403,8 @@ Status MultiplexedClient::Flush() {
   // thread is (possibly slowly) driving the socket.
   MutexLock io_lock(flush_mu_);
   {
-    // Sticky-failure fast path: flushes queued behind the send that
-    // broke the transport must not each burn another io_timeout_ms on
-    // the dead socket.
+    // A failed connection sends nothing more, and flushes queued behind
+    // the send that broke it do not each burn another io_timeout_ms.
     MutexLock lock(pending_mu_);
     if (!broken_.ok()) return broken_;
   }
@@ -578,24 +414,27 @@ Status MultiplexedClient::Flush() {
     batch.swap(outbuf_);
   }
   if (batch.empty()) return Status::OK();
-  const auto deadline = DeadlineIn(options_.io_timeout_ms);
   size_t sent = 0;
-  const Status status = SendAllFd(fd_, batch, deadline, &sent);
+  const Status status =
+      SendAllFd(send_fd_, batch, DeadlineIn(options_.io_timeout_ms), &sent);
+  sent_ += sent;
   if (!status.ok()) {
-    Break(status);
-    return status;
+    MarkBroken(send_fd_, status, /*transport=*/true);
+    FailPending();
   }
-  return Status::OK();
+  return status;
 }
 
-StatusOr<WireResponse> MultiplexedClient::Await(Ticket ticket) {
-  WATCHMAN_RETURN_IF_ERROR(Flush());
+StatusOr<WireResponse> MultiplexedClient::AwaitCall(Ticket ticket,
+                                                    Loss* loss) {
+  // A failed flush fails the calls still waiting, this one included, so
+  // the outcome is read from the call below either way.
+  (void)Flush();
   std::shared_ptr<PendingCall> call;
   {
     MutexLock lock(pending_mu_);
     auto it = pending_.find(ticket);
     if (it == pending_.end()) {
-      if (!broken_.ok()) return broken_;
       return Status::InvalidArgument("unknown or already-awaited ticket " +
                                      std::to_string(ticket));
     }
@@ -613,6 +452,7 @@ StatusOr<WireResponse> MultiplexedClient::Await(Ticket ticket) {
     return Status::IOError("deadline exceeded awaiting response " +
                            std::to_string(ticket));
   }
+  if (loss != nullptr) *loss = call->loss;
   if (!call->error.ok()) return call->error;
   return std::move(call->response);
 }
@@ -678,38 +518,41 @@ void MultiplexedClient::WaitFor(PendingCall* call,
 
 void MultiplexedClient::Lead(PendingCall* call, Clock::time_point deadline) {
   char chunk[64 * 1024];
+  Status failure;
+  bool reported = false;
   while (true) {
-    const Status routed = RouteFrames();
-    if (!routed.ok()) {
-      Break(routed);
-      return;
-    }
+    failure = RouteFrames(&reported);
+    if (!failure.ok()) break;
     {
       MutexLock lock(call->mu);
       if (call->done) return;
     }
-    const Status ready = PollFd(fd_, POLLIN, deadline, "recv");
-    if (!ready.ok()) {
+    failure = PollFd(recv_fd_, POLLIN, deadline, "recv");
+    if (!failure.ok()) {
       // A deadline fails this call only: the connection stays usable
       // and the next leader resumes from the bytes already buffered.
-      if (Clock::now() < deadline) Break(ready);
-      return;
+      if (Clock::now() >= deadline) return;
+      break;
     }
-    const ssize_t n = FaultRecv(fd_, chunk, sizeof(chunk), 0);
-    if (n == 0) {
-      Break(Status::IOError("connection closed by the daemon"));
-      return;
+    const ssize_t n = FaultRecv(recv_fd_, chunk, sizeof(chunk), 0);
+    if (n > 0) {
+      inbuf_.append(chunk, static_cast<size_t>(n));
+    } else if (n == 0) {
+      failure = Status::IOError("connection closed by the daemon");
+      break;
+    } else if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
+      failure = Status::IOError(std::string("recv: ") + ErrnoString(errno));
+      break;
     }
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      Break(Status::IOError(std::string("recv: ") + ErrnoString(errno)));
-      return;
-    }
-    inbuf_.append(chunk, static_cast<size_t>(n));
   }
+  // The read role is kept until every call is failed, so no redial can
+  // replace the socket in between.
+  MarkBroken(recv_fd_, failure, /*transport=*/!reported);
+  MutexLock lock(flush_mu_);
+  FailPending();
 }
 
-Status MultiplexedClient::RouteFrames() {
+Status MultiplexedClient::RouteFrames(bool* reported) {
   // Drain every complete frame; the consumed prefix is erased once per
   // batch (a per-frame erase would memmove the whole buffer once per
   // response on pipelined bursts).
@@ -741,15 +584,19 @@ Status MultiplexedClient::RouteFrames() {
     }
     if (call != nullptr) {
       MutexLock lock(call->mu);
-      call->response = std::move(*response);
-      call->done = true;
-      call->cv.NotifyOne();
+      // A call a failure has already failed keeps that outcome.
+      if (!call->done) {
+        call->response = std::move(*response);
+        call->done = true;
+        call->cv.NotifyOne();
+      }
     } else if (response->code != StatusCode::kOk &&
                response->request_id == 0) {
       // A framing-level error the daemon could not attribute to one
       // request (id 0): the connection is going away, fail everyone
       // with the daemon's own message.
       status = StatusFromWire(response->code, response->message);
+      *reported = true;
       break;
     }
     // A stray OK response (e.g. the waiter timed out and left) is
@@ -785,164 +632,132 @@ void MultiplexedClient::PromoteFollower() {
 }
 
 StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartPing() {
-  WireRequest request;
-  request.op = OpCode::kPing;
-  return StartRequest(request);
+  return StartRequest(MakeRequest(OpCode::kPing));
 }
 
 StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartGet(
     const std::string& query_text) {
-  WireRequest request;
-  request.op = OpCode::kGet;
-  request.query_text = query_text;
-  return StartRequest(request);
+  return StartRequest(MakeRequest(OpCode::kGet, query_text));
 }
 
 StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartExecute(
     const std::string& query_text) {
-  WireRequest request;
-  request.op = OpCode::kExecute;
-  request.query_text = query_text;
-  return StartRequest(request);
+  return StartRequest(MakeRequest(OpCode::kExecute, query_text));
 }
 
 StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartExecute(
     const std::string& query_text, const std::string& fill_payload,
     uint64_t fill_cost, std::vector<std::string> fill_relations) {
-  WireRequest request;
-  request.op = OpCode::kExecute;
-  request.query_text = query_text;
-  request.has_fill = true;
-  request.fill_payload = fill_payload;
-  request.fill_cost = fill_cost;
-  request.fill_relations = std::move(fill_relations);
+  WireRequest request = MakeFillRequest(query_text, fill_payload, fill_cost,
+                                        std::move(fill_relations));
   return StartRequest(request);
 }
 
 StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartInvalidate(
     const std::string& query_text) {
-  WireRequest request;
-  request.op = OpCode::kInvalidate;
-  request.query_text = query_text;
-  return StartRequest(request);
+  return StartRequest(MakeRequest(OpCode::kInvalidate, query_text));
 }
 
 StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartInvalidateRelation(
     const std::string& relation) {
-  WireRequest request;
-  request.op = OpCode::kInvalidateRelation;
-  request.relation = relation;
-  return StartRequest(request);
+  return StartRequest(MakeRelationRequest(relation));
 }
 
 StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartStats() {
-  WireRequest request;
-  request.op = OpCode::kStats;
-  return StartRequest(request);
+  return StartRequest(MakeRequest(OpCode::kStats));
 }
 
 StatusOr<MultiplexedClient::Ticket> MultiplexedClient::StartCompact() {
-  WireRequest request;
-  request.op = OpCode::kCompact;
-  return StartRequest(request);
+  return StartRequest(MakeRequest(OpCode::kCompact));
 }
 
-// Start + Await with the same shed-retry semantics as the blocking
-// client: each retry re-encodes under a fresh id after the hinted,
-// jittered backoff. Callers driving StartX()/Await() directly see the
-// shed response verbatim and schedule their own retries.
-StatusOr<WireResponse> MultiplexedClient::CallBlocking(
-    const std::function<StatusOr<Ticket>()>& start) {
-  for (int attempt = 0;; ++attempt) {
-    StatusOr<Ticket> ticket = start();
+// A shed answer is retried under a fresh id after the hinted, jittered
+// backoff: always safe, the daemon refused the request before executing
+// it. A deadline or a status the daemon reported ends the call: the
+// connection may be healthy and shared.
+StatusOr<WireResponse> MultiplexedClient::Call(WireRequest&& request) {
+  bool resent = false;
+  int shed_attempt = 0;
+  while (true) {
+    StatusOr<Ticket> ticket = StartRequest(request);
     if (!ticket.ok()) return ticket.status();
-    StatusOr<WireResponse> response = Await(*ticket);
-    if (!response.ok() ||
-        response->code != StatusCode::kShedRetryLater ||
-        attempt >= options_.shed_retries) {
+    Loss loss = Loss::kNone;
+    StatusOr<WireResponse> response = AwaitCall(*ticket, &loss);
+    if (!response.ok()) {
+      if (loss == Loss::kNone || resent) return response;
+      if (loss == Loss::kSent && !ReplaySafe(request.op)) {
+        return Status::IOError(
+            std::string("connection failed after '") +
+            OpCodeName(request.op) +
+            "' may have reached the daemon; not retried because the op "
+            "is not replay-safe (" +
+            response.status().message() + ")");
+      }
+      resent = true;
+      continue;
+    }
+    if (response->code != StatusCode::kShedRetryLater ||
+        shed_attempt >= options_.shed_retries) {
       return response;
     }
     const int backoff =
         ShedBackoffMs(static_cast<int>(response->retry_after_ms),
-                      options_.max_shed_backoff_ms, attempt,
+                      options_.max_shed_backoff_ms, shed_attempt++,
                       shed_jitter_seed_);
     std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
   }
 }
 
 Status MultiplexedClient::Ping() {
-  StatusOr<WireResponse> response =
-      CallBlocking([this] { return StartPing(); });
-  if (!response.ok()) return response.status();
-  return StatusFromWire(response->code, response->message);
+  return ToStatus(Call(MakeRequest(OpCode::kPing)));
 }
 
 StatusOr<MultiplexedClient::FetchResult> MultiplexedClient::Get(
     const std::string& query_text) {
-  StatusOr<WireResponse> response =
-      CallBlocking([&] { return StartGet(query_text); });
-  if (!response.ok()) return response.status();
-  return ToFetchResult(std::move(*response));
+  return ToFetchResult(Call(MakeRequest(OpCode::kGet, query_text)));
 }
 
 StatusOr<MultiplexedClient::FetchResult> MultiplexedClient::Execute(
     const std::string& query_text) {
-  StatusOr<WireResponse> response =
-      CallBlocking([&] { return StartExecute(query_text); });
-  if (!response.ok()) return response.status();
-  return ToFetchResult(std::move(*response));
+  return ToFetchResult(Call(MakeRequest(OpCode::kExecute, query_text)));
 }
 
 StatusOr<MultiplexedClient::FetchResult> MultiplexedClient::Execute(
     const std::string& query_text, const std::string& fill_payload,
     uint64_t fill_cost, std::vector<std::string> fill_relations) {
-  StatusOr<WireResponse> response = CallBlocking([&] {
-    return StartExecute(query_text, fill_payload, fill_cost, fill_relations);
-  });
-  if (!response.ok()) return response.status();
-  return ToFetchResult(std::move(*response));
+  WireRequest request = MakeFillRequest(query_text, fill_payload, fill_cost,
+                                        std::move(fill_relations));
+  return ToFetchResult(Call(std::move(request)));
 }
 
 StatusOr<uint64_t> MultiplexedClient::Invalidate(
     const std::string& query_text) {
-  StatusOr<WireResponse> response =
-      CallBlocking([&] { return StartInvalidate(query_text); });
-  if (!response.ok()) return response.status();
-  return ToDropped(std::move(*response));
+  return ToDropped(Call(MakeRequest(OpCode::kInvalidate, query_text)));
 }
 
 StatusOr<uint64_t> MultiplexedClient::InvalidateRelation(
     const std::string& relation) {
-  StatusOr<WireResponse> response =
-      CallBlocking([&] { return StartInvalidateRelation(relation); });
-  if (!response.ok()) return response.status();
-  return ToDropped(std::move(*response));
+  return ToDropped(Call(MakeRelationRequest(relation)));
 }
 
 StatusOr<WireStats> MultiplexedClient::Stats() {
-  StatusOr<WireResponse> response =
-      CallBlocking([this] { return StartStats(); });
-  if (!response.ok()) return response.status();
-  return ToStats(std::move(*response));
+  return ToStats(Call(MakeRequest(OpCode::kStats)));
 }
 
 Status MultiplexedClient::Compact() {
-  StatusOr<WireResponse> response =
-      CallBlocking([this] { return StartCompact(); });
-  if (!response.ok()) return response.status();
-  return StatusFromWire(response->code, response->message);
+  return ToStatus(Call(MakeRequest(OpCode::kCompact)));
 }
 
 // ------------------------------------------------------ RemoteWatchman
 
-RemoteWatchman::RemoteWatchman(std::unique_ptr<WatchmanClient> client,
+RemoteWatchman::RemoteWatchman(std::unique_ptr<MultiplexedClient> client,
                                Watchman::Executor executor)
     : client_(std::move(client)), executor_(std::move(executor)) {}
 
 StatusOr<std::unique_ptr<RemoteWatchman>> RemoteWatchman::Connect(
-    const WatchmanClient::Options& options, Watchman::Executor executor) {
-  StatusOr<std::unique_ptr<WatchmanClient>> client =
-      WatchmanClient::Connect(options);
+    const MultiplexedClient::Options& options, Watchman::Executor executor) {
+  StatusOr<std::unique_ptr<MultiplexedClient>> client =
+      MultiplexedClient::Connect(options);
   if (!client.ok()) return client.status();
   // alloc-ok: one wrapper per Connect() (setup, not per request)
   return std::make_unique<RemoteWatchman>(std::move(*client),
@@ -950,7 +765,7 @@ StatusOr<std::unique_ptr<RemoteWatchman>> RemoteWatchman::Connect(
 }
 
 StatusOr<std::string> RemoteWatchman::Execute(const std::string& query_text) {
-  StatusOr<WatchmanClient::FetchResult> probe = client_->Get(query_text);
+  StatusOr<MultiplexedClient::FetchResult> probe = client_->Get(query_text);
   if (probe.ok()) return std::move(probe->payload);
   if (probe.status().code() != StatusCode::kNotFound) return probe.status();
 
@@ -959,7 +774,7 @@ StatusOr<std::string> RemoteWatchman::Execute(const std::string& query_text) {
   // same contract as the facade's single-flight.
   StatusOr<Watchman::ExecutionResult> executed = executor_(query_text);
   if (!executed.ok()) return executed.status();
-  StatusOr<WatchmanClient::FetchResult> filled =
+  StatusOr<MultiplexedClient::FetchResult> filled =
       client_->Execute(query_text, executed->payload, executed->cost,
                        executed->relations);
   if (!filled.ok()) {

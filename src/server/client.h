@@ -1,40 +1,5 @@
-// Client libraries for watchmand.
-//
-// WatchmanClient owns one TCP connection and issues one request per
-// round trip; Connect() retries with capped exponential backoff, and
-// every socket wait (connect, send, recv) honors Options::io_timeout_ms
-// via poll, so a stalled or half-dead daemon fails the call within the
-// deadline instead of wedging the caller. A round trip that hits a dead
-// connection redials once ONLY when it is safe: either no byte of the
-// request reached the wire, or the op is a pure probe/offer (PING, GET,
-// STATS, EXECUTE) whose replay the daemon absorbs idempotently.
-// INVALIDATE / INVALIDATE_RELATION are NOT replay-safe -- a resend
-// after a lost response would report dropped=0 for a set the daemon
-// actually dropped -- so those surface IOError and let the caller
-// decide. Calls are serialized on an internal mutex, so a client may be
-// shared between threads, but one connection pays one round trip at a
-// time.
-//
-// MultiplexedClient shares ONE connection between many application
-// threads using the wire protocol's v3 request ids: a buffered writer
-// pipelines encoded frames (flushed on Await()/Flush(), no per-request
-// round trip), and the threads blocked in Await() take turns reading
-// the socket (leader/followers): one of them reads and routes every
-// response to its waiter by id, and hands the reading role to one
-// other waiter once its own response lands. Responses may complete out
-// of order and the pipe stays full, yet the client owns no thread, so
-// a blocking round trip wakes only its caller. StartX()/Await() expose
-// the pipelining directly; the blocking Ping()/Get()/... wrappers are
-// Start+Await and are safe to call from any number of threads
-// concurrently.
-//
-// RemoteWatchman layers the Watchman query API on top of a
-// WatchmanClient: Execute() first probes the daemon (GET), on a miss
-// runs the local executor and offers the result back (EXECUTE +
-// miss-fill), so application code swaps a local Watchman for a
-// RemoteWatchman without restructuring -- same Execute()/Query()
-// signatures, same executor contract, and the daemon-side cache counts
-// one reference per call exactly like the local facade.
+// Client library for watchmand: MultiplexedClient, and RemoteWatchman,
+// which layers the Watchman query API on top of it.
 
 #ifndef WATCHMAN_SERVER_CLIENT_H_
 #define WATCHMAN_SERVER_CLIENT_H_
@@ -42,7 +7,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -74,8 +38,31 @@ int DialBackoffMs(int base_ms, int max_ms, int attempt,
 int ShedBackoffMs(int hint_ms, int max_ms, int attempt,
                   uint64_t jitter_seed = 0);
 
-/// Blocking request/response client for one watchmand connection.
-class WatchmanClient {
+/// One watchmand connection shared by many application threads, using
+/// the wire protocol's v3 request ids: a buffered writer pipelines
+/// encoded frames (flushed on Await()/Flush(), no per-request round
+/// trip), and the threads blocked in Await() take turns reading the
+/// socket (leader/followers): one of them reads and routes every
+/// response to its waiter by id, and hands the reading role to one
+/// other waiter once its own response lands. Responses may complete out
+/// of order and the pipe stays full, yet the client owns no thread, so
+/// a blocking round trip wakes only its caller.
+///
+/// Every socket wait (connect, send, recv) honors Options::io_timeout_ms
+/// via poll, so a stalled or half-dead daemon fails the call within the
+/// deadline instead of wedging the caller; a deadline on Await fails
+/// that call only. A transport failure (send or recv error, EOF, an
+/// undecodable stream, a deadline on a send) fails every call in
+/// flight; the next request started afterwards redials once, with the
+/// Connect() options. A blocking call failed that way resends its
+/// request once, on the new connection, ONLY when that is safe: either
+/// no byte of its frame reached the wire, or the op is a pure
+/// probe/offer (PING, GET, STATS, EXECUTE, COMPACT) whose replay the
+/// daemon absorbs idempotently. INVALIDATE / INVALIDATE_RELATION are
+/// NOT replay-safe -- a resend after a lost response would report
+/// dropped=0 for a set the daemon actually dropped -- so those surface
+/// IOError and let the caller decide.
+class MultiplexedClient {
  public:
   struct Options {
     std::string host = "127.0.0.1";
@@ -111,83 +98,6 @@ class WatchmanClient {
     bool cache_hit = false;
   };
 
-  /// Dials the daemon (with retry/backoff per `options`).
-  static StatusOr<std::unique_ptr<WatchmanClient>> Connect(
-      const Options& options);
-
-  ~WatchmanClient();
-
-  WatchmanClient(const WatchmanClient&) = delete;
-  WatchmanClient& operator=(const WatchmanClient&) = delete;
-
-  /// Liveness / framing check.
-  Status Ping();
-
-  /// Hit-only probe; NotFound on a miss.
-  StatusOr<FetchResult> Get(const std::string& query_text);
-
-  /// Full lookup executed daemon-side (requires the daemon to own an
-  /// executor; against a miss-fill daemon a miss returns NotFound).
-  StatusOr<FetchResult> Execute(const std::string& query_text);
-
-  /// Full lookup carrying the result this client computed for a miss:
-  /// on a daemon-side miss the fill is offered to the cache (admission,
-  /// coherence and all) and echoed back; on a hit the cached set wins
-  /// and the fill is discarded.
-  StatusOr<FetchResult> Execute(const std::string& query_text,
-                                const std::string& fill_payload,
-                                uint64_t fill_cost,
-                                std::vector<std::string> fill_relations = {});
-
-  /// Returns the number of retrieved sets dropped (0 or 1).
-  StatusOr<uint64_t> Invalidate(const std::string& query_text);
-
-  /// Returns the number of dependent retrieved sets dropped.
-  StatusOr<uint64_t> InvalidateRelation(const std::string& relation);
-
-  StatusOr<WireStats> Stats();
-
-  /// Forces a metadata compaction pass on the daemon (idempotent, so
-  /// replay-safe).
-  Status Compact();
-
- private:
-  explicit WatchmanClient(Options options);
-
-  /// (Re)connects fd_, with retry/backoff.
-  Status Dial() REQUIRES(mu_);
-  /// One RoundTripLocked per shed-retry attempt (Options::shed_retries),
-  /// sleeping the hinted, jittered backoff between attempts.
-  StatusOr<WireResponse> RoundTrip(WireRequest& request) EXCLUDES(mu_);
-  /// Stamps a fresh request id, sends `request` and reads the matching
-  /// response; redials once only when the replay is provably safe.
-  StatusOr<WireResponse> RoundTripLocked(WireRequest& request) REQUIRES(mu_);
-  StatusOr<std::string> ReadFrameBody(
-      std::chrono::steady_clock::time_point deadline) REQUIRES(mu_);
-  void CloseLocked() REQUIRES(mu_);
-
-  Options options_;
-  Mutex mu_;
-  int fd_ GUARDED_BY(mu_) = -1;
-  uint64_t next_request_id_ GUARDED_BY(mu_) = 0;
-  /// Jitter seed for shed-retry backoff (fixed per client instance).
-  uint64_t shed_jitter_seed_ = 0;
-  /// Bytes received but not yet consumed as a frame.
-  std::string inbuf_ GUARDED_BY(mu_);
-};
-
-/// One connection shared by many application threads: requests are
-/// stamped with unique ids, buffered and pipelined by a writer path
-/// that never waits for responses, and whichever awaiting thread holds
-/// the read role routes each response to its waiter by id. Any
-/// transport failure (send error, recv error, undecodable response,
-/// deadline on a send) is sticky: every pending and future call fails
-/// with the same status and the caller reconnects by constructing a
-/// new client. A deadline on Await fails that call only.
-class MultiplexedClient {
- public:
-  using Options = WatchmanClient::Options;
-  using FetchResult = WatchmanClient::FetchResult;
   /// Handle for an in-flight pipelined request.
   using Ticket = uint64_t;
 
@@ -202,10 +112,12 @@ class MultiplexedClient {
   MultiplexedClient& operator=(const MultiplexedClient&) = delete;
 
   // Pipelined API: StartX() encodes and buffers the request (no socket
-  // write, no waiting); Flush()/Await() push buffered frames to the
-  // wire. Await(ticket) blocks until that request's response arrives
-  // (or Options::io_timeout_ms elapses -> IOError) and may be called
-  // from any thread, in any order relative to other tickets.
+  // write, no waiting; after a transport failure it redials first);
+  // Flush()/Await() push buffered frames to the wire. Await(ticket)
+  // blocks until that request's response arrives (or
+  // Options::io_timeout_ms elapses -> IOError) and may be called from
+  // any thread, in any order relative to other tickets. Sheds and
+  // failures reach the caller verbatim: nothing is retried.
   StatusOr<Ticket> StartPing();
   StatusOr<Ticket> StartGet(const std::string& query_text);
   StatusOr<Ticket> StartExecute(const std::string& query_text);
@@ -221,117 +133,189 @@ class MultiplexedClient {
   /// Sends every buffered frame now (Await does this implicitly).
   Status Flush();
 
-  /// Waits for `ticket`'s response. Each ticket may be awaited once.
-  /// The waiting thread may read the socket for other waiters meanwhile.
-  StatusOr<WireResponse> Await(Ticket ticket);
+  /// Waits for `ticket`'s response. Each ticket may be awaited once; a
+  /// call failed by the transport keeps that failure's status, also
+  /// after a redial. The waiting thread may read the socket for other
+  /// waiters meanwhile.
+  StatusOr<WireResponse> Await(Ticket ticket) {
+    return AwaitCall(ticket, nullptr);
+  }
 
   // Blocking wrappers (Start + Await), concurrency-safe: N threads
   // calling these share the one connection and their requests pipeline
-  // naturally.
+  // naturally. Sheds are retried per Options::shed_retries, and a call
+  // failed by the transport is resent once when that is replay-safe.
   Status Ping();
+  /// Hit-only probe; NotFound on a miss.
   StatusOr<FetchResult> Get(const std::string& query_text);
+  /// Full lookup executed daemon-side (requires the daemon to own an
+  /// executor; against a miss-fill daemon a miss returns NotFound).
   StatusOr<FetchResult> Execute(const std::string& query_text);
+  /// Full lookup carrying the result this client computed for a miss:
+  /// on a daemon-side miss the fill is offered to the cache (admission,
+  /// coherence and all) and echoed back; on a hit the cached set wins
+  /// and the fill is discarded.
   StatusOr<FetchResult> Execute(const std::string& query_text,
                                 const std::string& fill_payload,
                                 uint64_t fill_cost,
                                 std::vector<std::string> fill_relations = {});
+  /// Returns the number of retrieved sets dropped (0 or 1).
   StatusOr<uint64_t> Invalidate(const std::string& query_text);
+  /// Returns the number of dependent retrieved sets dropped.
   StatusOr<uint64_t> InvalidateRelation(const std::string& relation);
   StatusOr<WireStats> Stats();
+  /// Forces a metadata compaction pass on the daemon.
   Status Compact();
 
  private:
+  /// What a connection failure left of a failed call's frame.
+  enum class Loss : uint8_t {
+    kNone,    // not a transport failure: the daemon reported a status
+    kUnsent,  // send() accepted no byte of the frame
+    kSent,    // send() accepted some: the daemon may have seen it
+  };
+
   struct PendingCall {
     Mutex mu;
     CondVar cv;
+    /// Stream offset of the frame's first byte on its connection.
+    /// Written once, before the call is published in pending_.
+    uint64_t offset = 0;
     bool done GUARDED_BY(mu) = false;
     /// The read role was handed to this call's waiter (WaitFor).
     bool promoted GUARDED_BY(mu) = false;
-    // Transport-level failure (response invalid).
+    /// The connection's failure, when it failed this call.
     Status error GUARDED_BY(mu);
+    Loss loss GUARDED_BY(mu) = Loss::kNone;
     // Valid when done && error.ok().
     WireResponse response GUARDED_BY(mu);
   };
 
-  explicit MultiplexedClient(Options options);
+  MultiplexedClient(Options options, int fd);
 
+  /// Stamps a fresh id on `request` and buffers it; redials first when
+  /// the connection has failed.
   StatusOr<Ticket> StartRequest(WireRequest& request);
-  /// Start + Await with shed-retry backoff (the blocking wrappers).
-  StatusOr<WireResponse> CallBlocking(
-      const std::function<StatusOr<Ticket>()>& start);
+  StatusOr<Ticket> StartRequest(WireRequest&& request) {
+    return StartRequest(request);
+  }
+  /// Registers `call` and appends `request`'s frame to outbuf_, unless
+  /// the connection has failed: then returns that failure.
+  Status Buffer(const WireRequest& request,
+                const std::shared_ptr<PendingCall>& call)
+      EXCLUDES(send_mu_, pending_mu_);
+  /// Replaces a failed connection. Concurrent callers share one dial;
+  /// OK at once when another thread already redialed.
+  Status Redial() EXCLUDES(redial_mu_, read_mu_, flush_mu_);
+  /// Await, also reporting in `*loss` (when not null) what a connection
+  /// failure left of the call's frame, for the blocking path's resend.
+  StatusOr<WireResponse> AwaitCall(Ticket ticket, Loss* loss);
+  /// Start + Await for the blocking wrappers, with shed retries and the
+  /// replay-safe resend.
+  StatusOr<WireResponse> Call(WireRequest&& request);
   /// Returns once `call` is done or `deadline` passes, reading the
   /// socket itself whenever it can take the read role.
   void WaitFor(PendingCall* call,
                std::chrono::steady_clock::time_point deadline)
       EXCLUDES(read_mu_, pending_mu_);
   /// The read role's loop: routes buffered responses and receives more
-  /// until `call` is done, `deadline` passes or the transport breaks.
+  /// until `call` is done or `deadline` passes, or the stream breaks:
+  /// then it fails the connection.
   void Lead(PendingCall* call,
             std::chrono::steady_clock::time_point deadline)
-      REQUIRES(read_mu_);
+      REQUIRES(read_mu_) EXCLUDES(flush_mu_);
   /// Routes every complete frame in inbuf_ to its waiter; a non-OK
-  /// status means the stream is unusable.
-  Status RouteFrames() REQUIRES(read_mu_);
+  /// status means the stream is unusable. `*reported` tells a status
+  /// the daemon sent (an error frame with request id 0) from a
+  /// transport failure.
+  Status RouteFrames(bool* reported) REQUIRES(read_mu_);
   void RemoveFollower(PendingCall* call) EXCLUDES(pending_mu_);
   /// Hands the read role to one follower still waiting, if any.
   void PromoteFollower() EXCLUDES(pending_mu_);
-  /// Marks the transport broken and fails every pending call.
-  void Break(const Status& status);
+  /// Records the connection's first failure and shuts `fd` down, which
+  /// wakes a reader blocked in poll and ends a sender's wait at once.
+  void MarkBroken(int fd, const Status& status, bool transport)
+      EXCLUDES(pending_mu_);
+  /// Fails every call still waiting on the broken connection. Holding
+  /// flush_mu_ makes sent_ final: no send is in progress, and none
+  /// starts once the connection is marked broken.
+  void FailPending() REQUIRES(flush_mu_) EXCLUDES(pending_mu_);
 
   Options options_;
-  /// Deliberately unguarded: written exactly once (in Connect, before
-  /// the client pointer escapes), then only read -- by flushers, the
-  /// leader's poll/recv, Break's shutdown and the destructor's close.
-  /// The unique_ptr handoff publishes it.
-  int fd_ = -1;
+
+  /// Serializes redials. Lock order: redial_mu_, read_mu_, flush_mu_,
+  /// send_mu_, pending_mu_, then a PendingCall's mu. read_mu_ precedes
+  /// flush_mu_ because the reader that finds the connection broken
+  /// takes flush_mu_ (FailPending) before it gives the read role up, so
+  /// no redial can replace the socket in between. Redial dials with no
+  /// lock but redial_mu_ held, then takes the other four to swap the
+  /// socket, both buffers and the failure state at once.
+  Mutex redial_mu_ ACQUIRED_BEFORE(read_mu_);
+
+  /// The read role: held by the one Await()ing thread that reads the
+  /// socket, taken only with TryLock (TRY_ACQUIRE) so a waiter never
+  /// blocks on it -- it sleeps on its own call instead. Redial is the
+  /// one blocking taker.
+  Mutex read_mu_ ACQUIRED_BEFORE(flush_mu_, pending_mu_);
+  /// The reader's copy of the socket (recv_fd_ == send_fd_ always;
+  /// each side reads its own under its own lock, and Redial replaces
+  /// both while holding both).
+  int recv_fd_ GUARDED_BY(read_mu_);
+  /// Bytes received but not yet routed; a partial frame waits here for
+  /// the next leader.
+  std::string inbuf_ GUARDED_BY(read_mu_);
 
   /// Writer state: encoded frames accumulate in outbuf_ under send_mu_
   /// and are sent in one batch by Flush/Await. The socket write itself
   /// happens under flush_mu_ ONLY, so StartX() keeps buffering (and
   /// never blocks) while another thread's flush is stalled on the
   /// socket; flush_mu_ serializes senders so batches hit the wire
-  /// whole. Lock order: flush_mu_ before send_mu_, never both held
-  /// across a syscall (ACQUIRED_BEFORE turns a violation into a
-  /// compile error under -Werror=thread-safety).
+  /// whole. flush_mu_ and send_mu_ are never both held across a
+  /// syscall.
   Mutex flush_mu_ ACQUIRED_BEFORE(send_mu_, pending_mu_);
-  Mutex send_mu_;
+  int send_fd_ GUARDED_BY(flush_mu_);
+  /// Bytes of this connection's stream that send() has accepted.
+  uint64_t sent_ GUARDED_BY(flush_mu_) = 0;
+  Mutex send_mu_ ACQUIRED_BEFORE(pending_mu_);
   std::string outbuf_ GUARDED_BY(send_mu_);
+  /// Bytes of this connection's stream buffered so far: the offset of
+  /// the next frame.
+  uint64_t buffered_ GUARDED_BY(send_mu_) = 0;
 
-  /// The read role: held by the one Await()ing thread that reads the
-  /// socket, taken only with TryLock (TRY_ACQUIRE) so a waiter never
-  /// blocks on it -- it sleeps on its own call instead. Lock order:
-  /// read_mu_, then pending_mu_, then a PendingCall's mu; flush_mu_ and
-  /// read_mu_ are never held together.
-  Mutex read_mu_ ACQUIRED_BEFORE(pending_mu_);
-  /// Bytes received but not yet routed; a partial frame waits here for
-  /// the next leader.
-  std::string inbuf_ GUARDED_BY(read_mu_);
-
-  /// Waiter registry; broken_ is the sticky transport failure.
+  /// Waiter registry. A failed call stays listed, done, until awaited.
   Mutex pending_mu_;
   std::unordered_map<uint64_t, std::shared_ptr<PendingCall>> pending_
       GUARDED_BY(pending_mu_);
   /// Calls whose waiter sleeps without the read role (promotion
   /// candidates). Capacity is reserved up front.
   std::vector<PendingCall*> followers_ GUARDED_BY(pending_mu_);
+  /// The connection's failure (OK while healthy), and whether it was
+  /// the transport's; cleared by Redial.
   Status broken_ GUARDED_BY(pending_mu_);
+  bool broken_transport_ GUARDED_BY(pending_mu_) = false;
 
   std::atomic<uint64_t> next_id_{0};
   /// Jitter seed for shed-retry backoff (fixed per client instance).
   uint64_t shed_jitter_seed_ = 0;
 };
 
-/// Drop-in remote counterpart of the Watchman facade's query API.
+/// Drop-in remote counterpart of the Watchman facade's query API:
+/// Execute() first probes the daemon (GET), on a miss runs the local
+/// executor and offers the result back (EXECUTE + miss-fill), so
+/// application code swaps a local Watchman for a RemoteWatchman without
+/// restructuring -- same Execute()/Query() signatures, same executor
+/// contract, and the daemon-side cache counts one reference per call
+/// exactly like the local facade.
 class RemoteWatchman {
  public:
   /// `executor` materializes misses locally (same contract as the
   /// Watchman constructor's executor).
-  RemoteWatchman(std::unique_ptr<WatchmanClient> client,
+  RemoteWatchman(std::unique_ptr<MultiplexedClient> client,
                  Watchman::Executor executor);
 
   /// Dials and wraps in one step.
   static StatusOr<std::unique_ptr<RemoteWatchman>> Connect(
-      const WatchmanClient::Options& options, Watchman::Executor executor);
+      const MultiplexedClient::Options& options, Watchman::Executor executor);
 
   /// Mirrors Watchman::Execute(): probe the daemon, on a miss run the
   /// local executor and offer the result back. Executor errors
@@ -353,10 +337,10 @@ class RemoteWatchman {
   /// Daemon-side counters.
   StatusOr<WireStats> Stats() { return client_->Stats(); }
 
-  WatchmanClient& client() { return *client_; }
+  MultiplexedClient& client() { return *client_; }
 
  private:
-  std::unique_ptr<WatchmanClient> client_;
+  std::unique_ptr<MultiplexedClient> client_;
   Watchman::Executor executor_;
 };
 

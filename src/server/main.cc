@@ -130,28 +130,6 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-bool ParseFlag(const std::string& arg, const std::string& name,
-               std::string* value) {
-  const std::string prefix = "--" + name + "=";
-  if (!StartsWith(arg, prefix)) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
-/// Strict decimal parse bounded by `max`; rejects garbage instead of
-/// silently misreading it (--port=abc must not bind a random port).
-bool ParseUint(const std::string& text, uint64_t max, uint64_t* out) {
-  if (text.empty() || text.size() > 10) return false;
-  uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-    if (value > max) return false;
-  }
-  *out = value;
-  return true;
-}
-
 void PrintStats(const WireStats& stats) {
   std::printf("---- watchmand stats ----\n");
   std::printf("policy %s, %llu shards, %s / %s used, %llu cached sets\n",

@@ -10,7 +10,7 @@
 //
 // Sites:
 //  - socket syscalls (FaultSend/FaultRecv/FaultAccept4 shims used by the
-//    server IO loop and both client paths): short writes/reads, EAGAIN
+//    server IO loop and the client): short writes/reads, EAGAIN
 //    storms, ECONNRESET, slow-peer stalls. The epoll loops are
 //    level-triggered and the client waits via poll, so an injected
 //    EAGAIN is always followed by a real readiness notification.

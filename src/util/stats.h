@@ -1,45 +1,15 @@
-// Lightweight statistics helpers used by the metrics and experiment code.
+// A fixed-bucket histogram. Only its own tests use it; the daemon's
+// metrics use obs/metrics.h instead.
 
 #ifndef WATCHMAN_UTIL_STATS_H_
 #define WATCHMAN_UTIL_STATS_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
 namespace watchman {
-
-/// Single-pass mean / variance / min / max accumulator (Welford).
-class OnlineStats {
- public:
-  void Add(double x);
-
-  size_t count() const { return count_; }
-  double mean() const { return count_ == 0 ? 0.0 : mean_; }
-  double min() const {
-    return count_ == 0 ? 0.0 : min_;
-  }
-  double max() const {
-    return count_ == 0 ? 0.0 : max_;
-  }
-  /// Population variance; 0 for fewer than 2 samples.
-  double variance() const;
-  double stddev() const;
-  double sum() const { return sum_; }
-
-  /// Merges another accumulator into this one.
-  void Merge(const OnlineStats& other);
-
- private:
-  size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Fixed-bucket histogram over [lo, hi) with out-of-range clamping.
 class Histogram {

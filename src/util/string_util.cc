@@ -142,4 +142,24 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
+bool ParseFlag(std::string_view arg, std::string_view name,
+               std::string* value) {
+  const std::string prefix = "--" + std::string(name) + "=";
+  if (!StartsWith(arg, prefix)) return false;
+  value->assign(arg.substr(prefix.size()));
+  return true;
+}
+
+bool ParseUint(std::string_view text, uint64_t max, uint64_t* out) {
+  if (text.empty() || text.size() > 10) return false;
+  uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return false;
+    value = value * 10 + static_cast<uint64_t>(c - '0');
+    if (value > max) return false;
+  }
+  *out = value;
+  return true;
+}
+
 }  // namespace watchman

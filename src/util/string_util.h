@@ -55,6 +55,16 @@ std::string FormatDouble(double value, int precision);
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 
+/// Matches the command-line flag `--name=value`: true, with the text
+/// after '=' in *value, when `arg` is that flag; false otherwise.
+bool ParseFlag(std::string_view arg, std::string_view name,
+               std::string* value);
+
+/// Strict decimal parse bounded by `max`: one to ten digits, no sign
+/// and no other byte. Rejects garbage instead of misreading it, so
+/// --port=12ab never dials port 12.
+bool ParseUint(std::string_view text, uint64_t max, uint64_t* out);
+
 }  // namespace watchman
 
 #endif  // WATCHMAN_UTIL_STRING_UTIL_H_

@@ -1,11 +1,11 @@
 // Chaos integration suite: seeded fault schedules against a live
 // daemon on BOTH event backends. Every schedule drives a mixed
-// wire workload (blocking + multiplexed clients) while the injector
+// wire workload (blocking + pipelined calls) while the injector
 // fires short reads/writes, EAGAIN storms, connection resets, slow-peer
 // stalls, accept failures, store outages, executor crashes and
 // allocation failures -- and asserts the three chaos invariants:
 //
-//  1. No crash: the daemon and both client paths survive the run.
+//  1. No crash: the daemon and both call paths survive the run.
 //  2. No hang: every call returns within a bound derived from
 //     io_timeout_ms (a wedged call fails the stopwatch assert).
 //  3. No undocumented outcome: every client-visible status is one of
@@ -127,8 +127,8 @@ class ChaosTest
     ASSERT_EQ(server_->effective_backend(), std::get<0>(GetParam()));
   }
 
-  WatchmanClient::Options ClientOptions() const {
-    WatchmanClient::Options options;
+  MultiplexedClient::Options ClientOptions() const {
+    MultiplexedClient::Options options;
     options.port = server_->port();
     options.io_timeout_ms = kIoTimeoutMs;
     options.connect_attempts = 5;
@@ -148,17 +148,17 @@ int64_t MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Blocking-client workload: a deterministic mix of fills, probes,
-/// pings and invalidations. Transport failures are survived by the
-/// client's own redial; a dead client is reconnected here (documented
-/// IOError) so one reset does not end the run.
-void BlockingWorkload(const WatchmanClient::Options& options, int ops,
+/// Blocking-call workload: a deterministic mix of fills, probes, pings
+/// and invalidations. Transport failures are survived by the client's
+/// own redial: a call that cannot be resent safely surfaces a
+/// documented IOError, and the next call starts on a new connection.
+void BlockingWorkload(const MultiplexedClient::Options& options, int ops,
                       Outcomes* out) {
-  std::unique_ptr<WatchmanClient> client;
+  std::unique_ptr<MultiplexedClient> client;
   for (int i = 0; i < ops; ++i) {
     const auto start = std::chrono::steady_clock::now();
     if (!client) {
-      auto connected = WatchmanClient::Connect(options);
+      auto connected = MultiplexedClient::Connect(options);
       if (!connected.ok()) {
         out->Record(connected.status().code(), connected.status(),
                     MsSince(start));
@@ -190,13 +190,12 @@ void BlockingWorkload(const WatchmanClient::Options& options, int ops,
       }
     }
     out->Record(status.code(), status, MsSince(start));
-    if (status.code() == StatusCode::kIOError) client.reset();
   }
 }
 
-/// Multiplexed-client workload: pipelined bursts awaited out of order.
-/// Any transport failure is sticky by contract, so the client is
-/// rebuilt and the burst's failures counted as documented IOErrors.
+/// Pipelined workload: bursts awaited out of order. A transport failure
+/// fails the burst's calls still in flight (documented IOErrors); the
+/// next burst's first start redials.
 void PipelinedWorkload(const MultiplexedClient::Options& options, int bursts,
                        Outcomes* out) {
   std::unique_ptr<MultiplexedClient> client;
@@ -212,7 +211,6 @@ void PipelinedWorkload(const MultiplexedClient::Options& options, int bursts,
       client = std::move(connected).value();
     }
     std::vector<MultiplexedClient::Ticket> tickets;
-    bool broken = false;
     for (int i = 0; i < 8; ++i) {
       const std::string query = "select p" + std::to_string(i) +
                                 " from chaos";
@@ -221,7 +219,6 @@ void PipelinedWorkload(const MultiplexedClient::Options& options, int bursts,
                         : client->StartGet(query);
       if (!ticket.ok()) {
         out->Record(ticket.status().code(), ticket.status(), MsSince(start));
-        broken = true;
         break;
       }
       tickets.push_back(*ticket);
@@ -233,10 +230,8 @@ void PipelinedWorkload(const MultiplexedClient::Options& options, int bursts,
       } else {
         out->Record(response.status().code(), response.status(),
                     MsSince(start));
-        broken = true;
       }
     }
-    if (broken) client.reset();
   }
 }
 
@@ -278,8 +273,8 @@ TEST_P(ChaosTest, SurvivesScheduleWithDocumentedOutcomesOnly) {
   // Recovery: with the injector quiet again, a fresh client is served
   // cleanly -- and the daemon's own metrics survive a scrape.
   FaultInjector::Global().Reset();
-  WatchmanClient::Options clean_options = ClientOptions();
-  auto clean = WatchmanClient::Connect(clean_options);
+  MultiplexedClient::Options clean_options = ClientOptions();
+  auto clean = MultiplexedClient::Connect(clean_options);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   EXPECT_TRUE((*clean)->Ping().ok());
   auto stats = (*clean)->Stats();

@@ -123,10 +123,10 @@ class AdminEndpointTest : public testing::TestWithParam<ServerBackend> {
     ASSERT_NE(server_->admin_port(), 0);
   }
 
-  std::unique_ptr<WatchmanClient> MakeClient() {
-    WatchmanClient::Options options;
+  std::unique_ptr<MultiplexedClient> MakeClient() {
+    MultiplexedClient::Options options;
     options.port = server_->port();
-    auto client = WatchmanClient::Connect(options);
+    auto client = MultiplexedClient::Connect(options);
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return std::move(client).value();
   }

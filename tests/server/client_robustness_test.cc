@@ -1,7 +1,8 @@
 // Regression tests for the client's failure-path contract: capped dial
 // backoff, poll-enforced deadlines (a stalled or half-dead daemon must
-// fail the call, not wedge it), and the no-silent-replay rule for
-// non-idempotent ops when a connection dies between send and reply.
+// fail the call, not wedge it), the no-silent-replay rule for
+// non-idempotent ops when a connection dies between send and reply, and
+// the redial that follows a failure.
 //
 // The "daemons" here are hand-rolled sockets with precise misbehavior
 // (accept-then-stall, read-then-close, reply-on-second-connection), so
@@ -11,6 +12,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -18,12 +20,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "server/client.h"
 #include "server/protocol.h"
+#include "util/fault.h"
 
 namespace watchman {
 namespace {
@@ -59,6 +64,12 @@ class RawListener {
 
   int Accept() { return ::accept(fd_, nullptr, nullptr); }
 
+  /// True when a connection is waiting to be accepted within `ms`.
+  bool Pending(int ms) {
+    pollfd pfd{fd_, POLLIN, 0};
+    return ::poll(&pfd, 1, ms) > 0;
+  }
+
   uint16_t port() const { return port_; }
 
  private:
@@ -82,8 +93,8 @@ std::string ReadFrameBody(int fd) {
   }
 }
 
-WatchmanClient::Options FastFailOptions(uint16_t port, int io_timeout_ms) {
-  WatchmanClient::Options options;
+MultiplexedClient::Options FastFailOptions(uint16_t port, int io_timeout_ms) {
+  MultiplexedClient::Options options;
   options.port = port;
   options.connect_attempts = 1;
   options.io_timeout_ms = io_timeout_ms;
@@ -182,18 +193,21 @@ TEST(ClientDeadlineTest, StalledDaemonFailsTheCallWithinTheDeadline) {
   });
 
   auto client =
-      WatchmanClient::Connect(FastFailOptions(listener.port(), 250));
+      MultiplexedClient::Connect(FastFailOptions(listener.port(), 250));
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   const auto begin = Clock::now();
   const Status status = (*client)->Ping();
   const double elapsed_ms = ElapsedMs(begin);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kIOError) << status.ToString();
-  // One deadline per round-trip attempt; the replay-safe PING may redial
-  // once, so allow two deadlines plus scheduling slack.
+  // A deadline ends the call without a redial: the connection may still
+  // be healthy and shared. The bound leaves scheduling slack.
   EXPECT_LT(elapsed_ms, 5000.0);
   EXPECT_GE(elapsed_ms, 200.0);
   stop.store(true);
+  // The connection outlives the failed call, so closing it is what
+  // ends the fake daemon's recv.
+  (*client).reset();
   server.join();
 }
 
@@ -222,7 +236,7 @@ TEST(ClientDeadlineTest, UnservedBacklogFailsWithinTheDeadline) {
 
   const auto begin = Clock::now();
   auto client =
-      WatchmanClient::Connect(FastFailOptions(listener.port(), 250));
+      MultiplexedClient::Connect(FastFailOptions(listener.port(), 250));
   Status status = client.ok() ? (*client)->Ping() : client.status();
   const double elapsed_ms = ElapsedMs(begin);
   EXPECT_FALSE(status.ok());
@@ -277,7 +291,7 @@ TEST(ClientReplayTest, ProbeRedialsAfterResponseLost) {
   FlakyDaemon daemon;
   daemon.Run(/*connections=*/2, /*kill_first=*/true);
   auto client =
-      WatchmanClient::Connect(FastFailOptions(daemon.listener.port(), 2000));
+      MultiplexedClient::Connect(FastFailOptions(daemon.listener.port(), 2000));
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   auto got = (*client)->Get("select 1");
   EXPECT_TRUE(got.ok()) << got.status().ToString();
@@ -296,7 +310,7 @@ TEST(ClientReplayTest, InvalidateIsNeverSilentlyReplayed) {
   FlakyDaemon daemon;
   daemon.Run(/*connections=*/1, /*kill_first=*/true);
   auto client =
-      WatchmanClient::Connect(FastFailOptions(daemon.listener.port(), 2000));
+      MultiplexedClient::Connect(FastFailOptions(daemon.listener.port(), 2000));
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   auto dropped = (*client)->Invalidate("select 1");
   ASSERT_FALSE(dropped.ok());
@@ -319,7 +333,7 @@ TEST(ClientReplayTest, InvalidateStillRedialsWhenNothingWasSent) {
   FlakyDaemon daemon;
   daemon.Run(/*connections=*/2, /*kill_first=*/false);
   auto client =
-      WatchmanClient::Connect(FastFailOptions(daemon.listener.port(), 2000));
+      MultiplexedClient::Connect(FastFailOptions(daemon.listener.port(), 2000));
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   ASSERT_TRUE((*client)->Get("select 1").ok());
   // The daemon closed the first connection after replying. The next
@@ -351,6 +365,177 @@ TEST(ClientReplayTest, InvalidateStillRedialsWhenNothingWasSent) {
     // client correctly refused to replay.
     EXPECT_LE(invalidates_seen, 1);
   }
+}
+
+/// Accepts connections one at a time until stopped and idle, answers
+/// every request OK, and records each request's opcode with the ordinal
+/// of the connection it arrived on.
+struct RecordingDaemon {
+  RawListener listener;
+  std::atomic<bool> stop{false};
+  int accepted = 0;
+  std::vector<std::pair<int, OpCode>> seen;
+  /// When set, handles the first connection instead of Serve.
+  std::function<void(int conn)> first_connection;
+  std::thread thread;
+
+  void Run() {
+    listener.Listen(8);
+    thread = std::thread([this] {
+      // Exits only once stopped with no connection waiting, so every
+      // dial the client completed before the stop is counted.
+      while (listener.Pending(20) || !stop.load()) {
+        const int conn = listener.Accept();
+        if (conn < 0) continue;
+        if (++accepted == 1 && first_connection) {
+          first_connection(conn);
+        } else {
+          Serve(conn);
+        }
+        ::close(conn);
+      }
+    });
+  }
+
+  /// Answers frames until EOF.
+  void Serve(int conn) {
+    std::string buf;
+    char chunk[4096];
+    while (true) {
+      std::string_view body;
+      size_t frame_size = 0;
+      auto extracted =
+          ExtractFrame(buf, kDefaultMaxFrameBytes, &body, &frame_size);
+      if (!extracted.ok()) return;
+      if (*extracted) {
+        auto request = DecodeRequest(body);
+        if (!request.ok()) return;
+        seen.emplace_back(accepted, request->op);
+        WireResponse response;
+        response.op = request->op;
+        response.request_id = request->request_id;
+        const std::string frame = EncodeResponse(response);
+        (void)!::send(conn, frame.data(), frame.size(), MSG_NOSIGNAL);
+        buf.erase(0, frame_size);
+        continue;
+      }
+      const ssize_t n = ::recv(conn, chunk, sizeof(chunk), 0);
+      if (n <= 0) return;
+      buf.append(chunk, static_cast<size_t>(n));
+    }
+  }
+
+  /// Stops accepting once idle; returns once the client has closed its
+  /// connection.
+  void Join() {
+    stop.store(true);
+    if (thread.joinable()) thread.join();
+  }
+
+  ~RecordingDaemon() { Join(); }
+};
+
+class ClientRedialTest : public testing::Test {
+ protected:
+  void TearDown() override { FaultInjector::Global().Reset(); }
+};
+
+TEST_F(ClientRedialTest, BufferedFrameIsNotSentAfterAFailure) {
+  // A pipelined INVALIDATE is buffered, then the flush fails before a
+  // byte leaves. The failure fails the INVALIDATE's call, so the redial
+  // that the next request triggers must drop its frame: the daemon sees
+  // only the PING, on the second connection, and the ticket keeps the
+  // failure's status after the redial.
+  RecordingDaemon daemon;
+  daemon.Run();
+  auto client =
+      MultiplexedClient::Connect(FastFailOptions(daemon.listener.port(), 2000));
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto ticket = (*client)->StartInvalidate("select 1");
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  ASSERT_TRUE(FaultInjector::Global().Configure("send_reset=1").ok());
+  EXPECT_FALSE((*client)->Flush().ok());
+  FaultInjector::Global().Reset();
+
+  EXPECT_TRUE((*client)->Ping().ok());
+  auto invalidated = (*client)->Await(*ticket);
+  ASSERT_FALSE(invalidated.ok());
+  EXPECT_EQ(invalidated.status().code(), StatusCode::kIOError)
+      << invalidated.status().ToString();
+
+  (*client).reset();  // closes the second connection
+  daemon.Join();
+  EXPECT_EQ(daemon.accepted, 2);
+  ASSERT_EQ(daemon.seen.size(), 1u);
+  EXPECT_EQ(daemon.seen[0], std::make_pair(2, OpCode::kPing));
+}
+
+TEST_F(ClientRedialTest, FrameStillBufferedAtTheFailureIsDropped) {
+  // Another thread awaits a PING that the daemon reads but never
+  // answers; meanwhile this thread buffers an INVALIDATE without
+  // flushing it. Then the daemon closes the connection. The failure
+  // fails both calls, and the redial that the next request triggers
+  // must drop the INVALIDATE's frame, not send it on the new connection.
+  std::atomic<bool> ping_read{false};
+  std::atomic<bool> release{false};
+  RecordingDaemon daemon;
+  daemon.first_connection = [&](int conn) {
+    ping_read.store(!ReadFrameBody(conn).empty());
+    while (!release.load() && !daemon.stop.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  daemon.Run();
+  auto client =
+      MultiplexedClient::Connect(FastFailOptions(daemon.listener.port(), 2000));
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto ping = (*client)->StartPing();
+  ASSERT_TRUE(ping.ok()) << ping.status().ToString();
+  StatusOr<WireResponse> pinged = Status::Internal("not awaited");
+  std::thread waiter([&] { pinged = (*client)->Await(*ping); });
+  for (int i = 0; i < 2000 && !ping_read.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  auto ticket = (*client)->StartInvalidate("select 1");
+  release.store(true);  // the daemon closes the first connection
+  waiter.join();
+  EXPECT_TRUE(ping_read.load());
+  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+  EXPECT_EQ(pinged.status().code(), StatusCode::kIOError)
+      << pinged.status().ToString();
+
+  EXPECT_TRUE((*client)->Ping().ok());
+  auto invalidated = (*client)->Await(*ticket);
+  EXPECT_EQ(invalidated.status().code(), StatusCode::kIOError)
+      << invalidated.status().ToString();
+
+  (*client).reset();  // closes the second connection
+  daemon.Join();
+  EXPECT_EQ(daemon.accepted, 2);
+  ASSERT_EQ(daemon.seen.size(), 1u);
+  EXPECT_EQ(daemon.seen[0], std::make_pair(2, OpCode::kPing));
+}
+
+TEST_F(ClientRedialTest, BlockingInvalidateRedialsExactlyOnce) {
+  // Every send fails before a byte leaves, so the INVALIDATE may be
+  // resent -- once: the call redials exactly once, then returns the
+  // second failure, and no INVALIDATE ever reaches the daemon.
+  RecordingDaemon daemon;
+  daemon.Run();
+  auto client =
+      MultiplexedClient::Connect(FastFailOptions(daemon.listener.port(), 2000));
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(FaultInjector::Global().Configure("send_reset=1").ok());
+  auto dropped = (*client)->Invalidate("select 1");
+  FaultInjector::Global().Reset();
+  ASSERT_FALSE(dropped.ok());
+  EXPECT_EQ(dropped.status().code(), StatusCode::kIOError)
+      << dropped.status().ToString();
+
+  (*client).reset();
+  daemon.Join();
+  EXPECT_EQ(daemon.accepted, 2);
+  EXPECT_TRUE(daemon.seen.empty());
 }
 
 }  // namespace

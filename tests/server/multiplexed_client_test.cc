@@ -1,10 +1,11 @@
 // MultiplexedClient <-> event-loop server integration: one connection
 // shared by many threads, out-of-order response routing by request id,
 // pipelined writes, partial-write resumption under a tiny SO_SNDBUF,
-// Await deadlines, and the leader/followers read role (the client owns
-// no thread; awaiting threads take turns reading the socket). The
-// suite name contains "Server" so the concurrency-heavy tests run
-// under the CI TSan job's *Server* filter.
+// Await deadlines, the leader/followers read role (the client owns no
+// thread; awaiting threads take turns reading the socket), and the
+// redial after a daemon restart. The suite name contains "Server" so
+// the concurrency-heavy tests run under the CI TSan job's *Server*
+// filter.
 
 #include <gtest/gtest.h>
 
@@ -36,15 +37,18 @@ std::string PayloadFor(const std::string& text) {
   return "payload(" + text + ")";
 }
 
-/// Threads of this process right now.
-size_t ThreadCount() {
+/// Entries of a /proc/self directory right now.
+size_t CountEntries(const char* dir) {
   size_t count = 0;
   for ([[maybe_unused]] const auto& entry :
-       std::filesystem::directory_iterator("/proc/self/task")) {
+       std::filesystem::directory_iterator(dir)) {
     ++count;
   }
   return count;
 }
+
+/// Threads of this process right now.
+size_t ThreadCount() { return CountEntries("/proc/self/task"); }
 
 /// A warehouse executor that answers queries starting with "select held"
 /// only once the test releases them, so the daemon delays exactly those
@@ -486,8 +490,10 @@ TEST_F(MultiplexedClientServerTest, TransportFailureIsStickyAndFailsFast) {
   auto client = MakeClient();
   ASSERT_TRUE(client->Ping().ok());
   server_->Stop();  // closes the connection under the client
-  // The reader notices EOF and breaks the client; subsequent calls
-  // fail fast with the sticky status instead of hanging.
+  // The reader notices EOF and fails the connection. The failure stays
+  // until a start redials: against the stopped daemon every later call
+  // pays one dial (default options: at most 300 ms of backoff against
+  // a refused port) and fails with its error instead of hanging.
   Status status;
   for (int i = 0; i < 50; ++i) {
     status = client->Ping();
@@ -502,6 +508,67 @@ TEST_F(MultiplexedClientServerTest, TransportFailureIsStickyAndFailsFast) {
           std::chrono::steady_clock::now() - begin)
           .count();
   EXPECT_LT(fail_fast_ms, 1000.0);
+}
+
+TEST_F(MultiplexedClientServerTest, ThreadsSharingOneClientSurviveRestart) {
+  // Threads share one client and run blocking GETs while the daemon is
+  // stopped and a new one starts on the same port (same cache). The
+  // calls caught by the outage may fail; every call started after the
+  // restart must succeed, over ONE new connection that all the threads
+  // share, and the replaced socket must not leak.
+  StartServer();
+  const uint16_t port = server_->port();
+  const std::string query = "select survives from restart";
+  const size_t fds_before = CountEntries("/proc/self/fd");
+  MultiplexedClient::Options options = ClientOptions();
+  options.io_timeout_ms = 5000;
+  auto connected = MultiplexedClient::Connect(options);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  std::unique_ptr<MultiplexedClient> client = std::move(connected).value();
+  ASSERT_TRUE(client->Execute(query, PayloadFor(query), 100, {}).ok());
+
+  constexpr int kThreads = 3;
+  constexpr int kCallsAfterRestart = 200;
+  std::atomic<bool> restarted{false};
+  std::atomic<int> calls_before{0};
+  std::atomic<int> failures_after{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      int calls_after = 0;
+      while (calls_after < kCallsAfterRestart) {
+        const bool after = restarted.load();
+        auto got = client->Get(query);
+        if (!after) {
+          calls_before.fetch_add(1);
+        } else {
+          ++calls_after;
+          if (!got.ok() || got->payload != PayloadFor(query)) {
+            failures_after.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  while (calls_before.load() < 100) std::this_thread::yield();
+  server_->Stop();
+  server_.reset();
+  WatchmanServer::Options server_options;
+  server_options.port = port;  // SO_REUSEADDR lets the new one rebind
+  server_ = std::make_unique<WatchmanServer>(cache_.get(), server_options);
+  EXPECT_TRUE(server_->Start().ok());
+  restarted.store(true);
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(failures_after.load(), 0);
+  EXPECT_EQ(server_->connections_accepted(), 1u);
+  client.reset();
+  for (int i = 0; i < 200 && server_->StatsSnapshot().connections_active > 0;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  // The new daemon holds the same descriptors the old one did.
+  EXPECT_LE(CountEntries("/proc/self/fd"), fds_before);
 }
 
 }  // namespace

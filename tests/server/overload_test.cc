@@ -99,15 +99,15 @@ class OverloadTest : public testing::TestWithParam<ServerBackend> {
     ASSERT_EQ(server_->effective_backend(), GetParam());
   }
 
-  WatchmanClient::Options ClientOptions(int shed_retries = 0) const {
-    WatchmanClient::Options options;
+  MultiplexedClient::Options ClientOptions(int shed_retries = 0) const {
+    MultiplexedClient::Options options;
     options.port = server_->port();
     options.shed_retries = shed_retries;
     return options;
   }
 
-  std::unique_ptr<WatchmanClient> MakeClient(int shed_retries = 0) {
-    auto client = WatchmanClient::Connect(ClientOptions(shed_retries));
+  std::unique_ptr<MultiplexedClient> MakeClient(int shed_retries = 0) {
+    auto client = MultiplexedClient::Connect(ClientOptions(shed_retries));
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return std::move(client).value();
   }
@@ -149,9 +149,9 @@ TEST_P(OverloadTest, PeerQuotaShedsAbuserWhileNeighborIsServed) {
 
   // A well-behaved neighbor on a different loopback address has its own
   // bucket: every paced request succeeds while the abuser is shed.
-  WatchmanClient::Options neighbor_options = ClientOptions(0);
+  MultiplexedClient::Options neighbor_options = ClientOptions(0);
   neighbor_options.local_addr = "127.0.0.2";
-  auto neighbor = WatchmanClient::Connect(neighbor_options);
+  auto neighbor = MultiplexedClient::Connect(neighbor_options);
   ASSERT_TRUE(neighbor.ok()) << neighbor.status().ToString();
   for (int i = 0; i < 3; ++i) {
     EXPECT_TRUE((*neighbor)->Ping().ok());
@@ -196,7 +196,7 @@ TEST_P(OverloadTest, ConnectionCapShedsSecondConnection) {
   // Closing the counted connection frees the peer's slot.
   first.reset();
   ASSERT_TRUE(Eventually([&] {
-    auto retry = WatchmanClient::Connect(ClientOptions(0));
+    auto retry = MultiplexedClient::Connect(ClientOptions(0));
     return retry.ok() && (*retry)->Ping().ok();
   }));
 }

@@ -63,11 +63,11 @@ class ServerAllocTest : public testing::TestWithParam<ServerBackend> {
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_EQ(server_->effective_backend(), GetParam());
 
-    WatchmanClient::Options client_options;
+    MultiplexedClient::Options client_options;
     client_options.port = server_->port();
     // A shed is the answer under test, not something to wait out.
     client_options.shed_retries = 0;
-    auto client = WatchmanClient::Connect(client_options);
+    auto client = MultiplexedClient::Connect(client_options);
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     client_ = std::move(client).value();
 
@@ -95,7 +95,7 @@ class ServerAllocTest : public testing::TestWithParam<ServerBackend> {
 
   std::unique_ptr<Watchman> cache_;
   std::unique_ptr<WatchmanServer> server_;
-  std::unique_ptr<WatchmanClient> client_;
+  std::unique_ptr<MultiplexedClient> client_;
 };
 
 TEST_P(ServerAllocTest, InlineFastPathDoesNotAllocate) {

@@ -145,14 +145,14 @@ class ServerIntegrationTest : public testing::TestWithParam<ServerBackend> {
     ASSERT_EQ(server_->effective_backend(), GetParam());
   }
 
-  WatchmanClient::Options ClientOptions() const {
-    WatchmanClient::Options options;
+  MultiplexedClient::Options ClientOptions() const {
+    MultiplexedClient::Options options;
     options.port = server_->port();
     return options;
   }
 
-  std::unique_ptr<WatchmanClient> MakeClient() {
-    auto client = WatchmanClient::Connect(ClientOptions());
+  std::unique_ptr<MultiplexedClient> MakeClient() {
+    auto client = MultiplexedClient::Connect(ClientOptions());
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return std::move(client).value();
   }
@@ -386,15 +386,15 @@ TEST_P(ServerIntegrationTest, WarehouseExecutorNeverRunsOnTheIoThread) {
                  });
   WatchmanServer server(&cache, BackendOptions());
   ASSERT_TRUE(server.Start().ok());
-  WatchmanClient::Options client_options;
+  MultiplexedClient::Options client_options;
   client_options.port = server.port();
-  auto slow = WatchmanClient::Connect(client_options);
-  auto fast = WatchmanClient::Connect(client_options);
+  auto slow = MultiplexedClient::Connect(client_options);
+  auto fast = MultiplexedClient::Connect(client_options);
   ASSERT_TRUE(slow.ok());
   ASSERT_TRUE(fast.ok());
 
   const std::string query = "select blocked from warehouse";
-  StatusOr<WatchmanClient::FetchResult> result =
+  StatusOr<MultiplexedClient::FetchResult> result =
       Status::Internal("not answered");
   std::thread caller([&] {
     result = (*slow)->Execute(query, "client fill", 10, {});
@@ -425,9 +425,9 @@ TEST_P(ServerIntegrationTest, InlineDispatchDisabledByOption) {
   WatchmanServer server(&cache, server_options);
   ASSERT_TRUE(server.Start().ok());
 
-  WatchmanClient::Options client_options;
+  MultiplexedClient::Options client_options;
   client_options.port = server.port();
-  auto client = WatchmanClient::Connect(client_options);
+  auto client = MultiplexedClient::Connect(client_options);
   ASSERT_TRUE(client.ok());
   for (int i = 0; i < 5; ++i) ASSERT_TRUE((*client)->Ping().ok());
   EXPECT_EQ(server.inline_dispatched(), 0u);
@@ -601,9 +601,9 @@ TEST_P(ServerIntegrationTest, IdleCompactionRunsOncePerIdlePeriod) {
   EXPECT_EQ(server.compactions(), after_start);
 
   // New traffic re-arms it: one more pass once idle again.
-  WatchmanClient::Options client_options;
+  MultiplexedClient::Options client_options;
   client_options.port = server.port();
-  auto client = WatchmanClient::Connect(client_options);
+  auto client = MultiplexedClient::Connect(client_options);
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE((*client)->Ping().ok());
   ASSERT_TRUE(
@@ -688,7 +688,7 @@ TEST_P(ServerIntegrationTest, ConcurrentClientsWithInvalidationChaos) {
     });
   }
   std::thread invalidator([&] {
-    auto client = WatchmanClient::Connect(ClientOptions());
+    auto client = MultiplexedClient::Connect(ClientOptions());
     if (!client.ok()) {
       transport_errors.fetch_add(1);
       start.arrive_and_wait();
@@ -718,10 +718,10 @@ TEST_P(ServerIntegrationTest, OversizedFillRejectedAsCorruption) {
   WatchmanServer small_server(cache_.get(), tiny);
   ASSERT_TRUE(small_server.Start().ok());
 
-  WatchmanClient::Options options;
+  MultiplexedClient::Options options;
   options.port = small_server.port();
   options.connect_attempts = 1;
-  auto client = WatchmanClient::Connect(options);
+  auto client = MultiplexedClient::Connect(options);
   ASSERT_TRUE(client.ok());
   auto result = (*client)->Execute("q", std::string(100000, 'x'), 1, {});
   // The daemon answers with a corruption error (and drops the
@@ -814,10 +814,10 @@ TEST_P(ServerIntegrationTest, OversizedFrameSurfacesCorruptionAtTheClient) {
   WatchmanServer small_server(&small_cache, tiny);
   ASSERT_TRUE(small_server.Start().ok());
 
-  WatchmanClient::Options options;
+  MultiplexedClient::Options options;
   options.port = small_server.port();
   options.connect_attempts = 1;
-  auto client = WatchmanClient::Connect(options);
+  auto client = MultiplexedClient::Connect(options);
   ASSERT_TRUE(client.ok());
   auto result = (*client)->Execute("q", std::string(100000, 'x'), 1, {});
   ASSERT_FALSE(result.ok());
@@ -907,9 +907,9 @@ TEST_P(ServerIntegrationTest, GracefulShutdownStopsServing) {
 
   // Both ports refuse connections the moment Stop() returns -- on
   // io_uring too, where an armed multishot accept outlives close().
-  WatchmanClient::Options options = ClientOptions();
+  MultiplexedClient::Options options = ClientOptions();
   options.connect_attempts = 1;
-  auto failed = WatchmanClient::Connect(options);
+  auto failed = MultiplexedClient::Connect(options);
   EXPECT_FALSE(failed.ok());
   RawConn refused(admin_port);
   EXPECT_FALSE(refused.connected());
@@ -962,9 +962,9 @@ TEST_P(BackendFallbackTest, FallsBackToEpollAndStillServes) {
   EXPECT_EQ(server.effective_backend(), ServerBackend::kEpoll);
   EXPECT_EQ(server.StatsSnapshot().backend, std::string("epoll"));
 
-  WatchmanClient::Options client_options;
+  MultiplexedClient::Options client_options;
   client_options.port = server.port();
-  auto client = WatchmanClient::Connect(client_options);
+  auto client = MultiplexedClient::Connect(client_options);
   ASSERT_TRUE(client.ok());
   EXPECT_TRUE((*client)->Ping().ok());
   server.Stop();

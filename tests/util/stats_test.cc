@@ -3,72 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 
 namespace watchman {
 namespace {
-
-TEST(OnlineStatsTest, EmptyIsZero) {
-  OnlineStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 0.0);
-  EXPECT_DOUBLE_EQ(s.max(), 0.0);
-}
-
-TEST(OnlineStatsTest, SingleValue) {
-  OnlineStats s;
-  s.Add(5.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 5.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 5.0);
-}
-
-TEST(OnlineStatsTest, KnownMoments) {
-  OnlineStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);  // classic textbook example
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(OnlineStatsTest, MergeMatchesCombinedStream) {
-  OnlineStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i) * 10.0;
-    a.Add(x);
-    all.Add(x);
-  }
-  for (int i = 50; i < 120; ++i) {
-    const double x = std::cos(i) * 3.0 + 2.0;
-    b.Add(x);
-    all.Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(OnlineStatsTest, MergeWithEmpty) {
-  OnlineStats a, empty;
-  a.Add(1.0);
-  a.Add(3.0);
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  empty.Merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
 
 TEST(HistogramTest, CountsFallIntoBuckets) {
   Histogram h(0.0, 10.0, 10);
@@ -156,19 +93,6 @@ TEST(HistogramTest, ToStringEmptyAndZeroRows) {
   const std::string one_row = h.ToString(0);
   EXPECT_FALSE(one_row.empty());
   EXPECT_EQ(std::count(one_row.begin(), one_row.end(), '\n'), 1);
-}
-
-TEST(OnlineStatsTest, MergeTracksMinAndMaxAcrossDisjointRanges) {
-  OnlineStats low, high;
-  low.Add(-5.0);
-  low.Add(-1.0);
-  high.Add(100.0);
-  high.Add(200.0);
-  low.Merge(high);
-  EXPECT_DOUBLE_EQ(low.min(), -5.0);
-  EXPECT_DOUBLE_EQ(low.max(), 200.0);
-  EXPECT_EQ(low.count(), 4u);
-  EXPECT_DOUBLE_EQ(low.sum(), 294.0);
 }
 
 }  // namespace

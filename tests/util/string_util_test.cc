@@ -145,5 +145,42 @@ TEST(StartsWithTest, Basic) {
   EXPECT_TRUE(StartsWith("abc", ""));
 }
 
+TEST(ParseFlagTest, MatchesOnlyTheNamedFlag) {
+  std::string value;
+  EXPECT_TRUE(ParseFlag("--port=9736", "port", &value));
+  EXPECT_EQ(value, "9736");
+  EXPECT_TRUE(ParseFlag("--host=", "host", &value));
+  EXPECT_EQ(value, "");
+  EXPECT_FALSE(ParseFlag("--ports=1", "port", &value));
+  EXPECT_FALSE(ParseFlag("--port", "port", &value));
+  EXPECT_FALSE(ParseFlag("port=1", "port", &value));
+}
+
+TEST(ParseUintTest, AcceptsDigitsUpToTheBound) {
+  uint64_t value = 0;
+  EXPECT_TRUE(ParseUint("0", 10, &value));
+  EXPECT_EQ(value, 0u);
+  EXPECT_TRUE(ParseUint("65535", 65535, &value));  // exactly the maximum
+  EXPECT_EQ(value, 65535u);
+  EXPECT_TRUE(ParseUint("9999999999", UINT64_MAX, &value));  // ten digits
+  EXPECT_EQ(value, 9999999999u);
+}
+
+TEST(ParseUintTest, RejectsMalformedAndOutOfRangeText) {
+  uint64_t value = 7;
+  EXPECT_FALSE(ParseUint("", 65535, &value));
+  EXPECT_FALSE(ParseUint("12ab", 65535, &value));   // a non-digit
+  EXPECT_FALSE(ParseUint(" 12", 65535, &value));
+  EXPECT_FALSE(ParseUint("+12", 65535, &value));    // a sign
+  EXPECT_FALSE(ParseUint("-12", 65535, &value));
+  EXPECT_FALSE(ParseUint("65536", 65535, &value));  // the maximum plus one
+  // 11 digits are rejected whatever the bound.
+  EXPECT_FALSE(ParseUint("42949672970", UINT64_MAX, &value));
+  // glibc's atoi truncates this to 1; here it exceeds an int bound.
+  EXPECT_FALSE(ParseUint("4294967297", 2147483647, &value));
+  // A rejected parse leaves the output untouched.
+  EXPECT_EQ(value, 7u);
+}
+
 }  // namespace
 }  // namespace watchman

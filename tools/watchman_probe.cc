@@ -17,36 +17,32 @@
 // shed -- the mode CI uses against a daemon started with a tiny quota.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "server/client.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace watchman {
 namespace {
 
-bool ParseFlag(const char* arg, const char* name, std::string* value) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (std::strncmp(arg, prefix.c_str(), prefix.size()) != 0) return false;
-  *value = arg + prefix.size();
-  return true;
-}
-
 int Run(int argc, char** argv) {
   std::string host = "127.0.0.1";
-  int port = 0;
-  int count = 20;
+  uint64_t port = 0;
+  uint64_t count = 20;
   bool expect_shed = false;
   for (int i = 1; i < argc; ++i) {
     std::string value;
+    // A malformed --port or --count reads as 0, which the check after
+    // the loop rejects.
     if (ParseFlag(argv[i], "host", &value)) {
       host = value;
     } else if (ParseFlag(argv[i], "port", &value)) {
-      port = std::atoi(value.c_str());
+      if (!ParseUint(value, 65535, &port)) port = 0;
     } else if (ParseFlag(argv[i], "count", &value)) {
-      count = std::atoi(value.c_str());
+      if (!ParseUint(value, std::numeric_limits<int>::max(), &count)) count = 0;
     } else if (std::strcmp(argv[i], "--expect-shed") == 0) {
       expect_shed = true;
     } else {
@@ -56,18 +52,18 @@ int Run(int argc, char** argv) {
       return 2;
     }
   }
-  if (port <= 0 || port > 65535 || count <= 0) {
+  if (port == 0 || count == 0) {
     std::fprintf(stderr, "watchman_probe: need --port in 1..65535 and a "
                          "positive --count\n");
     return 2;
   }
 
-  WatchmanClient::Options options;
+  MultiplexedClient::Options options;
   options.host = host;
   options.port = static_cast<uint16_t>(port);
   options.io_timeout_ms = 5000;
   options.shed_retries = 0;  // surface raw kShedRetryLater statuses
-  auto client = WatchmanClient::Connect(options);
+  auto client = MultiplexedClient::Connect(options);
   if (!client.ok()) {
     std::fprintf(stderr, "watchman_probe: connect: %s\n",
                  client.status().ToString().c_str());
@@ -75,7 +71,7 @@ int Run(int argc, char** argv) {
   }
 
   int served = 0, shed = 0, failed = 0;
-  for (int i = 0; i < count; ++i) {
+  for (int i = 0; i < static_cast<int>(count); ++i) {
     const Status s = (*client)->Ping();
     if (s.ok()) {
       ++served;
